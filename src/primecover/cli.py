@@ -83,7 +83,9 @@ def _q_list(args) -> list[int]:
 
 
 def _pmap(fn, items, jobs: int):
-    if jobs <= 1 or len(items) <= 1:
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
+    if jobs == 1 or len(items) <= 1:
         return [fn(it) for it in items]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs))))
@@ -150,8 +152,7 @@ def _convolution_positivity(
     warr = w.residue_array(q)
     warr[0] = 0.0
     pind = np.zeros(q)
-    for p in prime_residues(q, eta):
-        pind[p] = 1.0
+    pind[prime_residues(q, eta).elements()] = 1.0
     conv = fourier.mult_convolve(fourier.mult_convolve(warr, pind, table), pind, table).real
     units = np.arange(1, q)
     min_val = float(conv[units].min())

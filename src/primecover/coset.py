@@ -23,7 +23,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 from scipy.special import gamma as complex_gamma
@@ -38,7 +37,7 @@ from .modular import (
 )
 from .primes import Eta, factor_sieve, prime_residues, primes_below
 from .reports import FAIL, PASS, RECORDED, AuditReport
-from .residues import ResidueSet
+from .residues import ResidueSet, from_positions, positions
 
 EULER_PRODUCT_PRIME_LIMIT = 10**6
 EULER_PRODUCT_TAIL_BOUND = 2e-6  # remainder of sum_p O(1/p^2) beyond the limit
@@ -46,9 +45,8 @@ EULER_PRODUCT_TAIL_BOUND = 2e-6  # remainder of sum_p O(1/p^2) beyond the limit
 
 def _dlog_gcd(p: ResidueSet, table: CharacterTable) -> int:
     """gcd(q-1, pairwise dlog differences); > 1 iff trapped in a proper coset."""
-    els = p.elements()
-    t0 = int(table.dlog[els[0]])
-    return reduce(math.gcd, (int(table.dlog[a]) - t0 for a in els[1:]), table.order)
+    logs = table.dlog[positions(p.bits, p.q)]
+    return math.gcd(table.order, int(np.gcd.reduce(logs - logs[0])))
 
 
 def is_coset_trapped(p: ResidueSet) -> bool:
@@ -66,10 +64,8 @@ class CosetWitness:
 
     def coset(self) -> ResidueSet:
         q = self.subgroup.q
-        bits = 0
-        for h in self.subgroup.elements:
-            bits |= 1 << (self.representative * h % q)
-        return ResidueSet(q, bits)
+        h = positions(self.subgroup.elements.bits, q)
+        return ResidueSet(q, from_positions(self.representative * h % q, q))
 
 
 def coset_obstruction(p: ResidueSet, table: CharacterTable | None = None) -> CosetWitness | None:
@@ -118,8 +114,7 @@ def character_constant_on(p: ResidueSet, table: CharacterTable, j: int, tol: flo
         raise ValueError("needs a nonempty set")
     if not 0 <= j <= table.order - 1:
         raise ValueError(f"character index {j} outside [0, {table.order - 1}]")
-    els = np.array(p.elements(), dtype=np.int64)
-    vals = table.roots[(j * table.dlog[els]) % table.order]
+    vals = table.roots[(j * table.dlog[positions(p.bits, p.q)]) % table.order]
     return bool(np.abs(vals - vals[0]).max() <= tol)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .residues import ResidueSet
+from .residues import ResidueSet, from_positions
 
 # Deterministic Miller-Rabin witnesses for every n < 3.3 * 10^24 (covers 64-bit).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -205,10 +205,8 @@ def subgroup_of_index(q: int | Modulus, m: int) -> Subgroup:
     table = character_table(modulus_value(q))
     if (table.order) % m != 0:
         raise ValueError(f"{m} does not divide the group order {table.order}")
-    bits = 0
-    for v in table.pow_g[::m]:
-        bits |= 1 << int(v)
-    return Subgroup(table.q, m, ResidueSet(table.q, bits))
+    members = ResidueSet(table.q, from_positions(table.pow_g[::m], table.q))
+    return Subgroup(table.q, m, members)
 
 
 def subgroups(q: int | Modulus) -> list[Subgroup]:
@@ -271,6 +269,10 @@ def isqrt_floor(n: int, k: int) -> int:
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """Primes q with lo <= q <= hi, via the deterministic point test."""
-    lo = max(lo, 2)
-    return [n for n in range(lo, hi + 1) if is_prime(n)]
+    """Primes q with lo <= q <= hi, sliced from the shared sieve."""
+    from .primes import primes_below  # primes imports this module
+
+    if hi < max(lo, 2):
+        return []
+    ps = primes_below(hi).primes
+    return ps[np.searchsorted(ps, lo) :].tolist()

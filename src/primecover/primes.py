@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .modular import isqrt_floor, modulus_value
-from .residues import ResidueSet
+from .residues import ResidueSet, from_positions
 
 
 @dataclass(frozen=True)
@@ -144,10 +144,7 @@ def prime_residues(q: int, eta: Eta | float | Fraction | int | str = 1) -> Resid
     top = min(e.largest_admitted(qv), qv - 1)
     if top < 2:
         return ResidueSet.empty(qv)
-    bits = 0
-    for p in primes_below(top).primes:
-        bits |= 1 << int(p)
-    return ResidueSet(qv, bits)
+    return ResidueSet(qv, from_positions(primes_below(top).primes, qv))
 
 
 class FactorSieve:

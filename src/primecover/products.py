@@ -1,12 +1,16 @@
 """Exact product-set algebra over (Z/qZ)^x and the doubling expansion engine.
 
 The group is cyclic of order q-1, so a set maps through discrete logs to a
-subset of Z/(q-1) and product sets become sumsets.  A sumset is computed as
-an OR of cyclic bit rotations: one big-int rotation per element of the
-smaller operand, O(|A| * q / wordsize) -- which beats the naive O(|A||B|)
-double loop at any real density.  If |A| + |B| > q - 1 the sumset is the
-whole group by pigeonhole (for any u, A and u - B must intersect), which
-short-circuits the saturated tail of an expansion run.
+subset of Z/(q-1) and product sets become sumsets.  Every product goes that
+way, whatever the operand sizes; the residue codec (`residues.positions` /
+`from_positions`) carries sets into and out of the discrete-log masks.  A
+sumset is an OR of cyclic bit rotations, one big-int rotation per element of
+the smaller operand, O(|A| * q / wordsize), until that work passes
+_FFT_WORK_LIMIT, where an exact FFT convolution takes over.  If
+|A| + |B| > q - 1 the sumset is the whole group by pigeonhole (for any u, A
+and u - B must intersect), which short-circuits the saturated tail of an
+expansion run.  `product_set_naive`, the definition-chasing double loop, is
+kept only as the oracle the tests compare against.
 
 All pair counts use ORDERED pairs throughout.
 """
@@ -19,36 +23,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coset import is_coset_trapped
-from .modular import character_table, mod_inverse, modulus_value
+from .modular import character_table, modulus_value
 from .primes import Eta, prime_residues
 from .reports import FAIL, PASS, RECORDED, AuditReport
-from .residues import ResidueSet, iter_bits
+from .residues import ResidueSet, from_positions, positions
 
-_DIRECT_LIMIT = 1 << 15  # below this many pairs the plain double loop wins
 _FFT_WORK_LIMIT = 1 << 21  # rotation word-ops above which the FFT sumset wins
-
-
-def _bit_positions(bits: int, length: int) -> np.ndarray:
-    """Indices of set bits, via byte unpacking (fast on dense masks)."""
-    raw = bits.to_bytes((length + 7) // 8, "little")
-    return np.flatnonzero(np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little"))
-
-
-def _positions_to_bits(idx: np.ndarray, length: int) -> int:
-    flags = np.zeros(length, dtype=np.uint8)
-    flags[idx] = 1
-    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
 def _exp_bits(s: ResidueSet, table) -> int:
     """Residue-indexed bitset -> discrete-log-indexed bitset."""
-    return _positions_to_bits(table.dlog[_bit_positions(s.bits, s.q)], table.order)
+    return from_positions(table.dlog[positions(s.bits, s.q)], table.order)
 
 
 def _set_from_exp(expbits: int, table) -> ResidueSet:
     """Discrete-log-indexed bitset -> residue-indexed ResidueSet."""
-    residues = table.pow_g[_bit_positions(expbits, table.order)]
-    return ResidueSet(table.q, _positions_to_bits(residues, table.q))
+    residues = table.pow_g[positions(expbits, table.order)]
+    return ResidueSet(table.q, from_positions(residues, table.q))
 
 
 def _rotl(bits: int, t: int, n: int, mask: int) -> int:
@@ -58,18 +49,6 @@ def _rotl(bits: int, t: int, n: int, mask: int) -> int:
     return ((bits << t) | (bits >> (n - t))) & mask
 
 
-def _bits_to_array(bits: int, n: int) -> np.ndarray:
-    raw = bits.to_bytes((n + 7) // 8, "little")
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[:n].astype(
-        np.float64
-    )
-
-
-def _array_to_bits(mask_arr: np.ndarray, n: int) -> int:
-    packed = np.packbits(mask_arr, bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little") & ((1 << n) - 1)
-
-
 def _sumset_exp_fft(e1: int, e2: int, n: int) -> int:
     """Sumset support via an exact integer convolution computed with FFT.
 
@@ -77,15 +56,20 @@ def _sumset_exp_fft(e1: int, e2: int, n: int) -> int:
     floor at this scale; the integrality and total checks make any drift a
     hard failure rather than a wrong set.
     """
-    a = _bits_to_array(e1, n)
-    b = a if e1 == e2 else _bits_to_array(e2, n)
+    a = np.zeros(n)
+    a[positions(e1, n)] = 1.0
+    if e1 == e2:
+        b = a
+    else:
+        b = np.zeros(n)
+        b[positions(e2, n)] = 1.0
     conv = np.fft.irfft(np.fft.rfft(a, n) * np.fft.rfft(b, n), n)
     counts = np.rint(conv)
     if float(np.abs(conv - counts).max()) > 1e-2:
         raise AssertionError("FFT sumset drifted away from integers")
     if int(counts.sum()) != e1.bit_count() * e2.bit_count():
         raise AssertionError("FFT sumset pair total mismatch")
-    return _array_to_bits(counts > 0.5, n)
+    return from_positions(np.flatnonzero(counts > 0.5), n)
 
 
 def _sumset_exp(e1: int, e2: int, n: int) -> int:
@@ -98,7 +82,7 @@ def _sumset_exp(e1: int, e2: int, n: int) -> int:
     if small.bit_count() * (n // 64 + 1) > _FFT_WORK_LIMIT:
         return _sumset_exp_fft(e1, e2, n)
     acc = 0
-    for t in iter_bits(small):
+    for t in positions(small, n).tolist():
         acc |= _rotl(big, t, n, mask)
         if acc == mask:
             break
@@ -111,8 +95,6 @@ def product_set(a: ResidueSet, b: ResidueSet) -> ResidueSet:
         raise ValueError(f"mixed moduli {a.q} and {b.q}")
     if not a or not b:
         return ResidueSet.empty(a.q)
-    if len(a) * len(b) <= _DIRECT_LIMIT:
-        return product_set_naive(a, b)
     table = character_table(a.q)
     return _set_from_exp(_sumset_exp(_exp_bits(a, table), _exp_bits(b, table), a.q - 1), table)
 
@@ -123,8 +105,8 @@ def product_set_naive(a: ResidueSet, b: ResidueSet) -> ResidueSet:
         raise ValueError(f"mixed moduli {a.q} and {b.q}")
     q = a.q
     bits = 0
-    for x in iter_bits(a.bits):
-        for y in iter_bits(b.bits):
+    for x in a:
+        for y in b:
             bits |= 1 << (x * y % q)
     return ResidueSet(q, bits)
 
@@ -160,20 +142,11 @@ def iterated_product_chain(p: ResidueSet, k: int) -> ResidueSet:
     return out
 
 
-def product_closure(p: ResidueSet, k_max: int) -> list[ResidueSet]:
-    """[P^(1), P^(2), ..., P^(k_max)] via the linear chain."""
-    out = [p]
-    for _ in range(k_max - 1):
-        out.append(product_set(out[-1], p))
-    return out
-
-
 def invert_set(a: ResidueSet) -> ResidueSet:
-    """{x^-1 : x in A}."""
-    bits = 0
-    for x in iter_bits(a.bits):
-        bits |= 1 << mod_inverse(x, a.q)
-    return ResidueSet(a.q, bits)
+    """{x^-1 : x in A}, by negating discrete logs: (g^t)^-1 = g^(-t)."""
+    table = character_table(a.q)
+    logs = table.dlog[positions(a.bits, a.q)]
+    return ResidueSet(a.q, from_positions(table.pow_g[(-logs) % table.order], a.q))
 
 
 def quotient_set(a: ResidueSet) -> ResidueSet:
@@ -193,12 +166,10 @@ def solution_count(p: ResidueSet, a: int) -> int:
         return 0
     table = character_table(q)
     n = q - 1
-    e = _exp_bits(p, table)
-    neg = 0
-    for t in iter_bits(e):
-        neg |= 1 << ((n - t) % n)
-    target = _rotl(neg, int(table.dlog[a]), n, (1 << n) - 1)
-    return (e & target).bit_count()
+    logs = table.dlog[positions(p.bits, q)]
+    # p1 * p2 = a  <=>  dlog p2 = dlog a - dlog p1 (mod q-1)
+    target = from_positions((table.dlog[a] - logs) % n, n)
+    return (from_positions(logs, n) & target).bit_count()
 
 
 def solution_count_naive(p: ResidueSet, a: int) -> int:
@@ -220,9 +191,7 @@ def solution_counts_all(p: ResidueSet) -> np.ndarray:
     table = character_table(q)
     n = q - 1
     ind = np.zeros(n)
-    els = np.array(p.elements(), dtype=np.int64)
-    if els.size:
-        ind[table.dlog[els]] = 1.0
+    ind[table.dlog[positions(p.bits, q)]] = 1.0
     conv = np.fft.irfft(np.fft.rfft(ind, n) ** 2, n)
     counts = np.rint(conv)
     if float(np.abs(conv - counts).max()) > 1e-2:
@@ -420,8 +389,7 @@ def spectral_energy(p: ResidueSet) -> float:
     q = p.q
     table = character_table(q)
     ind = np.zeros(q)
-    for x in iter_bits(p.bits):
-        ind[x] = 1.0
+    ind[positions(p.bits, q)] = 1.0
     vals = mult_transform(ind, table).values
     return float((np.abs(vals) ** 4).sum() / (q - 1))
 

@@ -1,9 +1,7 @@
 """Audit reports: one named bound per record, with verdict and tolerance.
 
 Verdict contract: "fail" only when a hard mathematical assertion is violated;
-comparisons against asymptotic constants are "recorded".  Serialized output
-(CSV/JSON) omits the wall-clock runtime so identical configurations produce
-byte-identical files.
+comparisons against asymptotic constants are "recorded".
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ class AuditReport:
     tolerance: float | None = None
     witness: Any = None
     details: dict[str, Any] = field(default_factory=dict)
-    runtime: float = 0.0
 
     def __post_init__(self) -> None:
         if self.verdict not in (PASS, FAIL, RECORDED):

@@ -4,6 +4,12 @@ A ResidueSet is an immutable value: the modulus plus one Python integer used
 as a bit mask (bit r set <=> residue r in the set).  Set algebra rides on
 int bit operations; cardinality is a popcount.  Bit 0 is never set -- all
 the arithmetic in this package is multiplicative.
+
+`positions` and `from_positions` are the one codec between a mask and the
+ascending array of its set-bit indices: every conversion in the package goes
+through them, and only the brute-force oracles still set bits one at a time.
+They serve residue-indexed masks and the discrete-log-indexed masks of the
+product engine alike.
 """
 
 from __future__ import annotations
@@ -11,13 +17,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
 
-def iter_bits(bits: int) -> Iterator[int]:
-    """Yield the positions of the set bits of `bits`, ascending."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
+
+def positions(bits: int, length: int) -> np.ndarray:
+    """Ascending int64 indices of the set bits of a mask below 2**length."""
+    raw = np.frombuffer(bits.to_bytes((length + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little").nonzero()[0].astype(np.int64, copy=False)
+
+
+def from_positions(idx, length: int) -> int:
+    """Mask with bit i set for every i in `idx`; each index lies in [0, length)."""
+    flags = np.zeros(length, dtype=np.uint8)
+    flags[idx] = 1
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
 @dataclass(frozen=True)
@@ -37,13 +50,11 @@ class ResidueSet:
 
     @classmethod
     def from_elements(cls, q: int, elements: Iterable[int]) -> ResidueSet:
-        bits = 0
-        for a in elements:
-            r = int(a) % q
-            if r == 0:
-                raise ValueError(f"{a} reduces to 0 mod {q}")
-            bits |= 1 << r
-        return cls(q, bits)
+        els = list(elements)
+        idx = [int(a) % q for a in els]
+        if 0 in idx:
+            raise ValueError(f"{els[idx.index(0)]} reduces to 0 mod {q}")
+        return cls(q, from_positions(idx, q))
 
     @classmethod
     def empty(cls, q: int) -> ResidueSet:
@@ -64,10 +75,11 @@ class ResidueSet:
         return bool((self.bits >> r) & 1)
 
     def __iter__(self) -> Iterator[int]:
-        return iter_bits(self.bits)
+        return iter(self.elements())
 
     def elements(self) -> list[int]:
-        return list(iter_bits(self.bits))
+        """Members ascending, as Python ints (rows and witnesses print them)."""
+        return positions(self.bits, self.q).tolist()
 
     def _check_same_q(self, other: ResidueSet) -> None:
         if self.q != other.q:

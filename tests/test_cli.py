@@ -161,6 +161,14 @@ def test_float_formatting_12_digits(tmp_path):
     assert "0.999900069951" in text
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("command", ["erdos-scan", "coset-scan"])
+def test_jobs_below_one_rejected(command, jobs, capsys):
+    assert main([command, "--q-min", "3", "--q-max", "50", "--jobs", jobs]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--jobs" in err
+
+
 def test_jobs_byte_identical(tmp_path):
     args = ["erdos-scan", "--q-min", "3", "--q-max", "200"]
     _, a = run_cli(tmp_path, "j1.csv", *args, "--jobs", "1")

@@ -45,7 +45,7 @@ def test_obstruction_singleton_degenerate():
 
 def test_obstruction_gcd_vs_brute_random():
     rng = random.Random(13)
-    for q in (11, 31, 97, 151, 199):
+    for q in (3, 5, 11, 31, 97, 151, 199, 2039):
         for _ in range(1000):
             s = ResidueSet.from_elements(q, rng.sample(range(1, q), rng.randint(1, q - 1)))
             a = coset_obstruction(s)

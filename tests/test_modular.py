@@ -36,6 +36,15 @@ def test_is_prime_large_pairs():
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
 
 
+@pytest.mark.parametrize(
+    "lo, hi", [(-5, 1), (0, 1), (2, 2), (3, 200), (10, 3), (14, 16), (24, 29), (0, 2000)]
+)
+def test_primes_in_range_vs_point_test(lo, hi):
+    got = primes_in_range(lo, hi)
+    assert got == [n for n in range(lo, hi + 1) if is_prime(n)]
+    assert all(type(p) is int for p in got)
+
+
 def test_modulus_validation():
     Modulus(3)
     Modulus(10007)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primecover.coset import is_coset_trapped
+from primecover.modular import mod_inverse
 from primecover.primes import prime_residues
 from primecover.products import (
     RULE_COMPLETE,
@@ -25,7 +26,7 @@ from primecover.products import (
     spectral_energy,
     subsets_not_coset_trapped,
 )
-from primecover.residues import ResidueSet, iter_bits
+from primecover.residues import ResidueSet, positions
 
 
 def test_product_set_worked_example_q5():
@@ -55,14 +56,7 @@ def test_product_set_mixed_moduli_rejected():
 def test_product_set_fast_matches_naive(xs, ys):
     a = ResidueSet.from_elements(101, xs)
     b = ResidueSet.from_elements(101, ys)
-    from primecover import products
-
-    old = products._DIRECT_LIMIT
-    products._DIRECT_LIMIT = 0  # force the rotation path
-    try:
-        fast = product_set(a, b)
-    finally:
-        products._DIRECT_LIMIT = old
+    fast = product_set(a, b)
     assert fast == product_set_naive(a, b)
 
 
@@ -82,7 +76,7 @@ def test_product_set_fft_route_matches_rotations():
             ea, eb = products._exp_bits(a, table), products._exp_bits(b, table)
             via_fft = products._sumset_exp_fft(ea, eb, n)
             acc = 0
-            for t in iter_bits(ea):
+            for t in positions(ea, n).tolist():
                 acc |= products._rotl(eb, t, n, mask)
             assert via_fft == acc
 
@@ -128,6 +122,15 @@ def test_quotient_set_examples():
     assert 1 in qs
 
 
+@pytest.mark.parametrize("q", (3, 5, 101, 2039))  # 2039 - 1 = 2 * 1019
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_invert_set_vs_mod_inverse(q, data):
+    xs = data.draw(st.sets(st.integers(min_value=1, max_value=q - 1)))
+    a = ResidueSet.from_elements(q, xs)
+    assert invert_set(a) == ResidueSet.from_elements(q, [mod_inverse(x, q) for x in xs])
+
+
 def test_solution_count_examples():
     p = prime_residues(5, 1)
     assert solution_count(p, 4) == 2  # (2,2), (3,3)
@@ -138,7 +141,7 @@ def test_solution_count_examples():
 
 def test_solution_count_total_and_naive():
     rng = random.Random(6)
-    for q in (13, 101):
+    for q in (3, 5, 13, 101):
         p = ResidueSet.from_elements(q, rng.sample(range(1, q), q // 3))
         counts = solution_counts_all(p)
         assert int(counts.sum()) == len(p) ** 2

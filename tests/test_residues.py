@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from primecover.residues import ResidueSet, iter_bits
+from primecover.residues import ResidueSet, from_positions, positions
 
 
 def test_from_elements_and_membership():
@@ -42,6 +45,41 @@ def test_full_and_complement():
     assert ResidueSet.empty(5).complement_units() == full
 
 
-def test_iter_bits_order():
-    assert list(iter_bits(0b101010)) == [1, 3, 5]
-    assert list(iter_bits(0)) == []
+def test_positions_order():
+    assert positions(0b101010, 6).tolist() == [1, 3, 5]
+    assert positions(0, 6).tolist() == []
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(min_value=1, max_value=80).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=(1 << n) - 1))
+    )
+)
+@example((13, 0))
+@example((13, 1 << 12))
+@example((1, 1))
+@example((8, 0xFF))
+@example((9, 0b100000001))
+def test_codec_round_trip_from_mask(case):
+    length, bits = case
+    idx = positions(bits, length)
+    assert idx.dtype == np.int64
+    assert idx.tolist() == [i for i in range(length) if bits >> i & 1]
+    assert from_positions(idx, length) == bits
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(min_value=1, max_value=80).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(min_value=0, max_value=n - 1)))
+    )
+)
+@example((13, []))
+@example((13, [12, 12, 0]))
+@example((17, [16]))
+def test_codec_round_trip_from_indices(case):
+    length, idx = case
+    bits = from_positions(idx, length)
+    assert bits == sum(1 << i for i in set(idx))
+    assert positions(bits, length).tolist() == sorted(set(idx))
