@@ -5,7 +5,8 @@ seeded), rows are emitted sorted by q regardless of worker count, and floats
 are printed with 12 significant digits -- so identical configurations yield
 byte-identical CSV/JSON output.
 
-Exit codes: 0 success, 1 a hard bound check failed, 2 invalid configuration.
+Exit codes: 0 success, 1 a hard bound check failed, 2 invalid configuration,
+3 an internal invariant broke (a bug, not a failed bound).
 """
 
 from __future__ import annotations
@@ -470,6 +471,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (AssertionError, RuntimeError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

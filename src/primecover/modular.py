@@ -221,13 +221,12 @@ def subgroups(q: int | Modulus) -> list[Subgroup]:
 def inverse_table(q: int | Modulus) -> np.ndarray:
     """inv[a] = a^(-1) mod q for a in [1, q-1]; inv[0] = 0.
 
-    Built by the standard O(q) recurrence inv[i] = -(q // i) * inv[q % i].
+    One gather from the cached discrete-log table: (g^t)^(-1) = g^(-t).
     """
-    qv = modulus_value(q)
-    inv = np.zeros(qv, dtype=np.int64)
-    inv[1] = 1
-    for i in range(2, qv):
-        inv[i] = (qv - qv // i) * inv[qv % i] % qv
+    table = character_table(modulus_value(q))
+    n = table.order
+    inv = np.zeros(table.q, dtype=np.int64)
+    inv[table.pow_g] = table.pow_g[(-np.arange(n)) % n]
     return inv
 
 

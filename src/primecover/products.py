@@ -6,11 +6,20 @@ way, whatever the operand sizes; the residue codec (`residues.positions` /
 `from_positions`) carries sets into and out of the discrete-log masks.  A
 sumset is an OR of cyclic bit rotations, one big-int rotation per element of
 the smaller operand, O(|A| * q / wordsize), until that work passes
-_FFT_WORK_LIMIT, where an exact FFT convolution takes over.  If
+_FFT_WORK_LIMIT, where the support of an exact convolution takes over.  If
 |A| + |B| > q - 1 the sumset is the whole group by pigeonhole (for any u, A
 and u - B must intersect), which short-circuits the saturated tail of an
 expansion run.  `product_set_naive`, the definition-chasing double loop, is
 kept only as the oracle the tests compare against.
+
+Both integer convolutions, the FFT sumset and `solution_counts_all`, go
+through one kernel, `_cyclic_counts`.  It zero-pads the length-(q-1)
+indicators to `scipy.fft.next_fast_len(2(q-1) - 1)`, so no transform runs
+at q - 1 itself, whose large prime factors would send the FFT to Bluestein
+(3-4x slower near q = 10^6); the linear convolution's tail is then wrapped
+back onto its head.  Squaring a set, as every pair-product row and every
+expansion step does, takes one forward transform instead of two.  The
+counts must come out integral and total |A| * |B|, or the kernel raises.
 
 All pair counts use ORDERED pairs throughout.
 """
@@ -49,13 +58,39 @@ def _rotl(bits: int, t: int, n: int, mask: int) -> int:
     return ((bits << t) | (bits >> (n - t))) & mask
 
 
-def _sumset_exp_fft(e1: int, e2: int, n: int) -> int:
-    """Sumset support via an exact integer convolution computed with FFT.
+def _cyclic_counts(a: np.ndarray, b: np.ndarray, total: int) -> np.ndarray:
+    """Exact cyclic convolution of two 0/1 float indicators of length n.
 
-    Counts are nonnegative integers below n, far above the float64 FFT noise
-    floor at this scale; the integrality and total checks make any drift a
-    hard failure rather than a wrong set.
+    The linear convolution is zero-padded to a fast length >= 2n - 1, so no
+    transform runs at an awkward length n (a large prime factor in n sends a
+    length-n FFT to Bluestein), and its tail is wrapped back onto the head.
+    Squaring (`b is a`) takes one forward transform.  Counts are nonnegative
+    integers below n, far above the float64 FFT noise floor at this scale; the
+    integrality check and the check that the counts add up to `total` make
+    any drift a hard failure rather than a wrong answer.
     """
+    import scipy.fft  # deferred: a module-level import adds ~35 ms to CLI start-up
+
+    n = len(a)
+    size = scipy.fft.next_fast_len(2 * n - 1, real=True)
+    spectrum = scipy.fft.rfft(a, size)
+    if b is a:
+        spectrum *= spectrum
+    else:
+        spectrum *= scipy.fft.rfft(b, size)
+    conv = scipy.fft.irfft(spectrum, size, overwrite_x=True)
+    cyclic = conv[:n]
+    cyclic[: n - 1] += conv[n : 2 * n - 1]
+    counts = np.rint(cyclic)
+    if float(np.abs(cyclic - counts).max()) > 1e-2:
+        raise AssertionError("FFT convolution drifted away from integers")
+    if int(counts.sum()) != total:
+        raise AssertionError("FFT convolution pair total mismatch")
+    return counts.astype(np.int64)
+
+
+def _sumset_exp_fft(e1: int, e2: int, n: int) -> int:
+    """Sumset support: the nonzero entries of the exact pair counts."""
     a = np.zeros(n)
     a[positions(e1, n)] = 1.0
     if e1 == e2:
@@ -63,13 +98,8 @@ def _sumset_exp_fft(e1: int, e2: int, n: int) -> int:
     else:
         b = np.zeros(n)
         b[positions(e2, n)] = 1.0
-    conv = np.fft.irfft(np.fft.rfft(a, n) * np.fft.rfft(b, n), n)
-    counts = np.rint(conv)
-    if float(np.abs(conv - counts).max()) > 1e-2:
-        raise AssertionError("FFT sumset drifted away from integers")
-    if int(counts.sum()) != e1.bit_count() * e2.bit_count():
-        raise AssertionError("FFT sumset pair total mismatch")
-    return from_positions(np.flatnonzero(counts > 0.5), n)
+    counts = _cyclic_counts(a, b, e1.bit_count() * e2.bit_count())
+    return from_positions(counts.nonzero()[0], n)
 
 
 def _sumset_exp(e1: int, e2: int, n: int) -> int:
@@ -184,22 +214,15 @@ def solution_count_naive(p: ResidueSet, a: int) -> int:
 def solution_counts_all(p: ResidueSet) -> np.ndarray:
     """Counts for every target a at once, indexed by residue.
 
-    Cyclic autoconvolution of the discrete-log indicator via real FFT; the
-    result is validated to be integral and to total |P|^2.
+    The exact cyclic autoconvolution of the discrete-log indicator, which
+    `_cyclic_counts` checks to be integral and to total |P|^2.
     """
     q = p.q
     table = character_table(q)
-    n = q - 1
-    ind = np.zeros(n)
+    ind = np.zeros(q - 1)
     ind[table.dlog[positions(p.bits, q)]] = 1.0
-    conv = np.fft.irfft(np.fft.rfft(ind, n) ** 2, n)
-    counts = np.rint(conv)
-    if float(np.abs(conv - counts).max()) > 1e-2:
-        raise AssertionError("FFT convolution drifted away from integers")
     out = np.zeros(q, dtype=np.int64)
-    out[table.pow_g] = counts.astype(np.int64)
-    if int(out.sum()) != len(p) ** 2:
-        raise AssertionError("solution counts must total |P|^2")
+    out[table.pow_g] = _cyclic_counts(ind, ind, len(p) ** 2)
     return out
 
 

@@ -174,3 +174,15 @@ def test_jobs_byte_identical(tmp_path):
     _, a = run_cli(tmp_path, "j1.csv", *args, "--jobs", "1")
     _, b = run_cli(tmp_path, "j8.csv", *args, "--jobs", "8")
     assert a == b
+
+
+def test_internal_error_exits_three(monkeypatch, capsys):
+    from primecover import products
+
+    def broken(a, b):
+        raise AssertionError("forced drift")
+
+    monkeypatch.setattr(products, "product_set", broken)
+    assert main(["erdos-scan", "--q", "101"]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["internal error: AssertionError: forced drift"]

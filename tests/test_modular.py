@@ -10,6 +10,7 @@ from primecover.modular import (
     character_value,
     divisors,
     factorize,
+    inverse_table,
     is_prime,
     isqrt_floor,
     mod_inverse,
@@ -61,6 +62,13 @@ def test_mod_inverse_identities():
 def test_mod_inverse_exhaustive_101():
     for a in range(1, 101):
         assert a * mod_inverse(a, 101) % 101 == 1
+
+
+@pytest.mark.parametrize("q", (3, 5, 101, 2039))  # 2039 - 1 = 2 * 1019
+def test_inverse_table_vs_mod_inverse(q):
+    inv = inverse_table(q)
+    assert inv.dtype == np.int64
+    assert inv.tolist() == [0] + [mod_inverse(a, q) for a in range(1, q)]
 
 
 def test_mod_inverse_rejects_zero():

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,7 +67,7 @@ def test_product_set_fft_route_matches_rotations():
     from primecover.modular import character_table
 
     rng = random.Random(21)
-    for q in (1009, 10007):
+    for q in (1009, 2039, 10007):
         table = character_table(q)
         n = q - 1
         mask = (1 << n) - 1
@@ -79,6 +80,36 @@ def test_product_set_fft_route_matches_rotations():
             for t in positions(ea, n).tolist():
                 acc |= products._rotl(eb, t, n, mask)
             assert via_fft == acc
+
+
+def _cyclic_oracle(a, b):
+    n = len(a)
+    linear = np.convolve(a, b)  # exact on int64
+    out = linear[:n].copy()
+    out[: n - 1] += linear[n:]
+    return out
+
+
+# q - 1 = 2, 4, 12, 2 * 1019, 2 * 5003; at q = 3 the padded length is 3
+@pytest.mark.parametrize("q", (3, 5, 13, 2039, 10007))
+@settings(deadline=None, max_examples=15)
+@given(seed=st.integers(0, 2**32 - 1), da=st.floats(0, 1), db=st.floats(0, 1))
+def test_cyclic_counts_vs_integer_convolution(q, seed, da, db):
+    from primecover.products import _cyclic_counts
+
+    n = q - 1
+    rng = np.random.default_rng(seed)
+    a = (rng.random(n) < da).astype(np.int64)
+    b = (rng.random(n) < db).astype(np.int64)
+    fa, fb = a.astype(float), b.astype(float)
+    square = _cyclic_counts(fa, fa, int(a.sum()) ** 2)  # one-transform branch
+    assert square.dtype == np.int64
+    assert square.tolist() == _cyclic_oracle(a, a).tolist()
+    assert _cyclic_counts(fa, fa.copy(), int(a.sum()) ** 2).tolist() == square.tolist()
+    pair = _cyclic_counts(fa, fb, int(a.sum()) * int(b.sum()))
+    assert pair.tolist() == _cyclic_oracle(a, b).tolist()
+    with pytest.raises(AssertionError):
+        _cyclic_counts(fa, fb, int(a.sum()) * int(b.sum()) + 1)
 
 
 def test_product_commutative_associative():
