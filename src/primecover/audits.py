@@ -327,17 +327,7 @@ def suite_almost_prime(seed: int = 0, q_max: int = 2000) -> list[AuditReport]:
     uncovered = []
     dist: dict[int, int] = {}
     for q in primes_in_range(3, q_max):
-        p = prime_residues(q, 1)
-        union = ResidueSet.empty(q)
-        cur = p
-        k_needed = None
-        for k in range(1, 7):
-            if k > 1:
-                cur = products.product_set(cur, p)
-            union = union | cur
-            if union.covers_units:
-                k_needed = k
-                break
+        k_needed, _ = products.six_fold_cover(prime_residues(q, 1))
         if k_needed is None:
             uncovered.append(q)
         else:
@@ -349,7 +339,7 @@ def suite_almost_prime(seed: int = 0, q_max: int = 2000) -> list[AuditReport]:
             name="almost-prime.six-fold-cover",
             params={"q_max": q_max},
             computed=float(worst_k),
-            bound=6.0,
+            bound=float(products.COVER_FACTORS),
             verdict=PASS if ok else FAIL,
             witness=uncovered[0] if uncovered else None,
             details={"min_k_distribution": {str(k): v for k, v in sorted(dist.items())}},

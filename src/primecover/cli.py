@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import audits, coset, fourier, products, sieves
-from .modular import character_table, modulus_value, primes_in_range
+from .modular import MAX_MODULUS, character_table, primes_in_range
 from .primes import Eta, prime_residues
 from .reports import AuditReport, fmt_float, reports_to_csv, reports_to_json
 from .residues import ResidueSet
@@ -72,10 +72,10 @@ def _emit_reports(args, reports: list[AuditReport]) -> int:
 
 def _q_list(args) -> list[int]:
     if args.q is not None:
-        return [modulus_value(args.q)]
+        return [args.q]  # validated by the row's first library call
     if args.q_min is None or args.q_max is None:
         raise ValueError("need --q or both --q-min and --q-max")
-    if args.q_max > 10**6:
+    if args.q_max > MAX_MODULUS:
         raise ValueError("scan budget is q <= 10^6")
     qs = primes_in_range(max(args.q_min, 3), args.q_max)
     if not qs:
@@ -126,9 +126,8 @@ def cmd_theorem1(args) -> int:
     eps = Fraction(args.epsilon)
     if not 0 < eps <= Fraction(1, 4):
         raise ValueError("epsilon must lie in (0, 1/4]")
-    q = modulus_value(args.q)
     eta = Eta.power(eps - Fraction(1, 4))
-    rep = products.density_report(q, eta, epsilon=float(eps))
+    rep = products.density_report(args.q, eta, epsilon=float(eps))
     return _emit_reports(args, [rep])
 
 
@@ -171,7 +170,6 @@ def _convolution_positivity(
 
 def cmd_theorem2(args) -> int:
     """Six-fold prime products: direct union check plus convolution positivity."""
-    q = modulus_value(args.q)
     eps = Fraction(args.epsilon) if args.epsilon is not None else None
     base = Fraction(-1, 16) if args.mode == "i" else Fraction(-1, 4)
     if eps is None:
@@ -181,7 +179,8 @@ def cmd_theorem2(args) -> int:
         raise ValueError("epsilon too large: eta would exceed 1")
     eta = Eta.power(expo)
 
-    p = prime_residues(q, eta)
+    p = prime_residues(args.q, eta)
+    q = p.q
     reports = []
     if not p:
         reports.append(
@@ -193,22 +192,14 @@ def cmd_theorem2(args) -> int:
             )
         )
     else:
-        union = ResidueSet.empty(q)
-        cur = p
-        cover_k = None
-        for k in range(1, 7):
-            if k > 1:
-                cur = products.product_set(cur, p)
-            union = union | cur
-            if union.covers_units and cover_k is None:
-                cover_k = k
+        cover_k, union = products.six_fold_cover(p)
         missing = union.complement_units()
         reports.append(
             AuditReport(
                 name="almost-prime.six-fold-cover",
                 params={"q": q, "eta": eta.label(), "mode": args.mode},
                 computed=float(cover_k) if cover_k else None,
-                bound=6.0,
+                bound=float(products.COVER_FACTORS),
                 verdict="recorded",
                 witness=missing.elements()[:8] or None,
                 details={
@@ -258,9 +249,9 @@ def _min_covering_exponent(p: ResidueSet) -> int:
 
 def cmd_theorem3(args) -> int:
     """Minimal covering exponent for P_eta, against the theoretical 48."""
-    q = modulus_value(args.q)
     eta = Eta.parse(args.eta)
-    p = prime_residues(q, eta)
+    p = prime_residues(args.q, eta)
+    q = p.q
     if not p:
         raise ValueError("P_eta is empty; nothing to expand")
     witness = coset.coset_obstruction(p)
@@ -312,8 +303,7 @@ def cmd_theorem3(args) -> int:
 
 
 def cmd_density(args) -> int:
-    q = modulus_value(args.q)
-    rep = products.density_report(q, Eta.parse(args.eta))
+    rep = products.density_report(args.q, Eta.parse(args.eta))
     return _emit_reports(args, [rep])
 
 

@@ -32,7 +32,6 @@ from .modular import (
     Subgroup,
     character_table,
     divisors,
-    modulus_value,
     subgroup_of_index,
 )
 from .primes import Eta, factor_sieve, prime_residues, primes_below
@@ -225,9 +224,9 @@ def omega_power_sum(z: complex, x: int) -> OmegaSumReport:
 
 def coset_scan_report(q: int, eta: Eta | float | str = 1) -> AuditReport:
     """Run the obstruction detector on P_eta and report any witness found."""
-    qv = modulus_value(q)
     e = Eta.coerce(eta)
-    p = prime_residues(qv, e)
+    p = prime_residues(q, e)
+    qv = p.q
     if not p:
         return AuditReport(
             name="coset.obstruction-scan",
@@ -262,9 +261,9 @@ def obstruction_tension_report(q: int, eta: Eta | float | str = 1) -> AuditRepor
     the order).  Asymptotically the two cannot coexist; at desk scale we
     record where each side stands and the q-scale where the shapes cross.
     """
-    qv = modulus_value(q)
     e = Eta.coerce(eta)
-    p = prime_residues(qv, e)
+    p = prime_residues(q, e)
+    qv = p.q
     if not p:
         raise ValueError("P_eta is empty; nothing to audit")
     witness = coset_obstruction(p)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modular import cached_inverse_table, character_table, modulus_value
+from .modular import character_table, inverse_table, modulus_value
 from .reports import FAIL, PASS, RECORDED, AuditReport
 from .sieves import LOWER, UPPER, SieveWeights
 
@@ -53,8 +53,6 @@ def _as_mod_array(f: np.ndarray, q: int) -> np.ndarray:
 def additive_transform(f: np.ndarray, q: int) -> SpectrumAdditive:
     """f^(r) = sum_a f(a) e(-ra/q) for all r, via FFT."""
     qv = modulus_value(q)
-    if qv > 10**6:
-        raise ValueError("dense transforms budgeted for q <= 10^6")
     return SpectrumAdditive(qv, np.fft.fft(_as_mod_array(f, qv)))
 
 
@@ -148,10 +146,10 @@ def _unit_roots(q: int) -> np.ndarray:
 
 def kloosterman(r: int, s: int, q: int) -> complex:
     """Kl2(r, s; q) by brute force over the units; rejects r or s = 0 mod q."""
-    qv = modulus_value(q)
+    qv = character_table(q).q
     if r % qv == 0 or s % qv == 0:
         raise ValueError("degenerate Kloosterman arguments (r or s = 0) are out of scope")
-    inv = cached_inverse_table(qv)
+    inv = inverse_table(qv)
     ns = np.arange(1, qv)
     idx = (r % qv * ns + s % qv * inv[1:]) % qv
     return complex(_unit_roots(qv)[idx].sum())
@@ -164,8 +162,8 @@ def kloosterman_row(q: int) -> np.ndarray:
     Every nondegenerate sum reduces to this row: Kl2(r, s; q) = Kl2(1, rs; q)
     by substituting n -> r^-1 n.
     """
-    qv = modulus_value(q)
-    inv = cached_inverse_table(qv)
+    qv = character_table(q).q
+    inv = inverse_table(qv)
     ns = np.arange(1, qv)
     us = np.arange(qv)
     idx = (ns[None, :] + us[:, None] * inv[1:][None, :]) % qv
@@ -178,8 +176,8 @@ def weil_audit(q: int, tol: float = 1e-6) -> AuditReport:
     Also verifies that every sum is real (conjugation symmetry n <-> -n)
     and symmetric under r <-> s (substitution n <-> n^-1).
     """
-    qv = modulus_value(q)
-    inv = cached_inverse_table(qv)
+    qv = character_table(q).q
+    inv = inverse_table(qv)
     roots = _unit_roots(qv)
     ns = np.arange(1, qv)
     bound = 2.0 * math.sqrt(qv)
@@ -245,13 +243,13 @@ def sup_nontrivial_mult_coeff(w: SieveWeights, q: int, pv_tol: float = 1e-6) -> 
     and every d in the support, |sum_{n<=x, d|n} conj(chi)(n)| must respect
     the sqrt(q)*log(q) prefix bound (hard assertion).  Requires x <= q.
     """
-    qv = modulus_value(q)
+    table = character_table(q)
+    qv = table.q
     if w.kind != LOWER:
         raise ValueError("sup_nontrivial_mult_coeff expects lower weights")
     x = w.params.x
     if x > qv:
         raise ValueError("needs x <= q")
-    table = character_table(qv)
     farr = w.residue_array(qv)
     farr[0] = 0.0
     spec = mult_transform(farr, table)
@@ -325,7 +323,7 @@ def solution_count_fourier(w: SieveWeights, a: int, q: int) -> SolutionCountRepo
     off-diagonal block is also re-estimated with |Kl2| <= 2*sqrt(q) to expose
     the bound chain.  Budgeted for q <= ~5000 (dense q x q frequency grid).
     """
-    qv = modulus_value(q)
+    qv = character_table(q).q
     if w.kind != UPPER:
         raise ValueError("solution counts are audited for upper weights")
     if a % qv == 0:
@@ -333,7 +331,7 @@ def solution_count_fourier(w: SieveWeights, a: int, q: int) -> SolutionCountRepo
     if w.params.x >= qv:
         raise ValueError("needs x < q")
     a = a % qv
-    inv = cached_inverse_table(qv)
+    inv = inverse_table(qv)
     farr = w.residue_array(qv)
 
     partner = farr[(a * inv) % qv]
@@ -377,10 +375,10 @@ def solution_count_fourier(w: SieveWeights, a: int, q: int) -> SolutionCountRepo
 
 def parseval_gap_additive(f: np.ndarray, q: int) -> float:
     """Relative Parseval defect |sum|f^|^2 - q*sum|f|^2| / (q*sum|f|^2)."""
-    qv = modulus_value(q)
-    arr = _as_mod_array(f, qv)
-    lhs = float((np.abs(additive_transform(arr, qv).values) ** 2).sum())
-    rhs = qv * float((np.abs(arr) ** 2).sum())
+    spec = additive_transform(f, q)
+    arr = _as_mod_array(f, spec.q)
+    lhs = float((np.abs(spec.values) ** 2).sum())
+    rhs = spec.q * float((np.abs(arr) ** 2).sum())
     return abs(lhs - rhs) / rhs if rhs else abs(lhs)
 
 

@@ -3,9 +3,17 @@
 Primality is a deterministic Miller-Rabin test (fixed witness set, valid for
 all 64-bit inputs), so nothing downstream is probabilistic.  Discrete logs
 are built by one pass of repeated multiplication by the least primitive
-root: O(q) time and memory, which is fine at desk scale (q up to ~10^6 for
-character work).  Characters are evaluated lazily from the discrete-log
-table and a precomputed table of (q-1)-th roots of unity.
+root: O(q) time and memory, which is fine at desk scale.  Characters are
+evaluated lazily from the discrete-log table and a precomputed table of
+(q-1)-th roots of unity.
+
+The CharacterTable is the validated form of a modulus: `modulus_value`
+rejects anything but an odd prime 3 <= q <= 10^6 (the scale ceiling is
+checked first, so an oversized q costs neither a primality test nor an
+allocation), and it runs where `character_table(q)` builds the table, so once
+per q while the table stays cached.  Everything that reads a table takes q
+from it; only the few public functions that never build one call
+`modulus_value` themselves.
 """
 
 from __future__ import annotations
@@ -44,25 +52,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Modulus:
-    """An odd prime modulus q >= 3."""
-
-    q: int
-
-    def __post_init__(self) -> None:
-        if self.q < 3 or self.q % 2 == 0 or not is_prime(self.q):
-            raise ValueError(f"modulus must be an odd prime >= 3, got {self.q}")
+MAX_MODULUS = 10**6  # scale ceiling: O(q) tables and transforms stay desk-sized
 
 
-def modulus_value(q: int | Modulus) -> int:
-    """Validate and unwrap a modulus given as an int or a Modulus."""
-    if isinstance(q, Modulus):
-        return q.q
-    return Modulus(int(q)).q
+def modulus_value(q: int) -> int:
+    """q as an int, if it is an odd prime 3 <= q <= MAX_MODULUS; else ValueError."""
+    qv = int(q)
+    if qv > MAX_MODULUS:
+        raise ValueError(f"modulus budget is q <= 10^6, got {qv}")
+    if qv < 3 or qv % 2 == 0 or not is_prime(qv):
+        raise ValueError(f"modulus must be an odd prime >= 3, got {qv}")
+    return qv
 
 
-def mod_inverse(a: int, q: int | Modulus) -> int:
+def mod_inverse(a: int, q: int) -> int:
     """Multiplicative inverse of a mod q; rejects a = 0 (mod q)."""
     qv = modulus_value(q)
     if a % qv == 0:
@@ -99,18 +102,6 @@ def divisors(n: int) -> list[int]:
     return sorted(ds)
 
 
-def primitive_root(q: int | Modulus) -> int:
-    """Least primitive root of the prime q."""
-    qv = modulus_value(q)
-    if qv == 3:
-        return 2
-    order_factors = list(factorize(qv - 1))
-    for g in range(2, qv):
-        if all(pow(g, (qv - 1) // p, qv) != 1 for p in order_factors):
-            return g
-    raise AssertionError(f"no primitive root found for prime {qv}")
-
-
 class CharacterTable:
     """Primitive root, discrete logs and character evaluator for (Z/qZ)^x.
 
@@ -120,11 +111,14 @@ class CharacterTable:
 
     __slots__ = ("q", "g", "order", "dlog", "pow_g", "_roots")
 
-    def __init__(self, q: int | Modulus):
+    def __init__(self, q: int):
         qv = modulus_value(q)
         self.q = qv
-        self.g = primitive_root(qv)
         self.order = qv - 1
+        order_factors = list(factorize(qv - 1))
+        self.g = next(
+            g for g in range(2, qv) if all(pow(g, (qv - 1) // p, qv) != 1 for p in order_factors)
+        )
         # baby-step/giant-step power table: pow_g[i*B + j] = g^(i*B) * g^j,
         # vectorized since entries stay below q^2 < 2^63 at desk scale
         n = qv - 1
@@ -172,10 +166,6 @@ class CharacterTable:
         out[1:] = self.roots[(j * self.dlog[1:]) % self.order]
         return out
 
-    def conj_index(self, j: int) -> int:
-        """Index of the conjugate character of chi_j."""
-        return (-j) % self.order
-
 
 @functools.lru_cache(maxsize=8)
 def character_table(q: int) -> CharacterTable:
@@ -183,8 +173,9 @@ def character_table(q: int) -> CharacterTable:
     return CharacterTable(q)
 
 
-def character_value(table: CharacterTable, j: int, a: int) -> complex:
-    return table.value(j, a)
+def primitive_root(q: int) -> int:
+    """Least primitive root of the prime q."""
+    return character_table(q).g
 
 
 @dataclass(frozen=True)
@@ -200,42 +191,37 @@ class Subgroup:
             raise ValueError(f"index {self.index} does not divide {self.q - 1}")
 
 
-def subgroup_of_index(q: int | Modulus, m: int) -> Subgroup:
+def subgroup_of_index(q: int, m: int) -> Subgroup:
     """Subgroup {x : x^((q-1)/m) = 1} = <g^m>, of order (q-1)/m."""
-    table = character_table(modulus_value(q))
-    if (table.order) % m != 0:
+    table = character_table(q)
+    if table.order % m != 0:
         raise ValueError(f"{m} does not divide the group order {table.order}")
     members = ResidueSet(table.q, from_positions(table.pow_g[::m], table.q))
     return Subgroup(table.q, m, members)
 
 
-def subgroups(q: int | Modulus) -> list[Subgroup]:
+def subgroups(q: int) -> list[Subgroup]:
     """One Subgroup per divisor of q-1, ascending by index.
 
     Index 1 is the full group; index q-1 is the trivial subgroup {1}.
     """
-    qv = modulus_value(q)
-    return [subgroup_of_index(qv, m) for m in divisors(qv - 1)]
+    table = character_table(q)
+    return [subgroup_of_index(table.q, m) for m in divisors(table.order)]
 
 
-def inverse_table(q: int | Modulus) -> np.ndarray:
+def inverse_table(q: int) -> np.ndarray:
     """inv[a] = a^(-1) mod q for a in [1, q-1]; inv[0] = 0.
 
     One gather from the cached discrete-log table: (g^t)^(-1) = g^(-t).
     """
-    table = character_table(modulus_value(q))
+    table = character_table(q)
     n = table.order
     inv = np.zeros(table.q, dtype=np.int64)
     inv[table.pow_g] = table.pow_g[(-np.arange(n)) % n]
     return inv
 
 
-@functools.lru_cache(maxsize=8)
-def cached_inverse_table(q: int) -> np.ndarray:
-    return inverse_table(q)
-
-
-def order_of(a: int, q: int | Modulus) -> int:
+def order_of(a: int, q: int) -> int:
     """Multiplicative order of a mod q, by checking divisors of q-1."""
     qv = modulus_value(q)
     if a % qv == 0:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .modular import isqrt_floor, modulus_value
+from .modular import character_table, isqrt_floor
 from .residues import ResidueSet, from_positions
 
 
@@ -111,10 +111,6 @@ class Eta:
             return float(self.value)
         return float(q) ** float(self.exponent)
 
-    def limit_at(self, q: int) -> float:
-        """eta*q as a float."""
-        return self.value_at(q) * q
-
     def largest_admitted(self, q: int) -> int:
         """The largest integer m with m < eta*q, computed exactly."""
         if self.value is not None:
@@ -139,7 +135,7 @@ def prime_residues(q: int, eta: Eta | float | Fraction | int | str = 1) -> Resid
     Primes below q need no reduction, so there are no collisions; an empty
     result (eta*q < 3) is valid.
     """
-    qv = modulus_value(q)
+    qv = character_table(q).q
     e = Eta.coerce(eta)
     top = min(e.largest_admitted(qv), qv - 1)
     if top < 2:
@@ -229,12 +225,6 @@ class FactorSieve:
         mask[0] = False
         mask[1] = True
         return mask
-
-    def is_rough(self, n: int, z: float) -> bool:
-        self._check_range(n)
-        if n == 1:
-            return True
-        return bool(self.spf[n] >= z)
 
 
 _factor_lock = threading.Lock()

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coset import is_coset_trapped
-from .modular import character_table, modulus_value
+from .modular import character_table
 from .primes import Eta, prime_residues
 from .reports import FAIL, PASS, RECORDED, AuditReport
 from .residues import ResidueSet, from_positions, positions
@@ -170,6 +170,26 @@ def iterated_product_chain(p: ResidueSet, k: int) -> ResidueSet:
     for _ in range(k - 1):
         out = product_set(out, p)
     return out
+
+
+COVER_FACTORS = 6  # Theorem 2: products of at most six primes cover the units
+
+
+def six_fold_cover(p: ResidueSet) -> tuple[int | None, ResidueSet]:
+    """Least k <= COVER_FACTORS with P u P^(2) u ... u P^(k) = units, and that union.
+
+    Stops at the first cover, since later products cannot grow the whole
+    group; (None, the union up to P^(COVER_FACTORS)) when none covers.
+    """
+    union = ResidueSet.empty(p.q)
+    cur = p
+    for k in range(1, COVER_FACTORS + 1):
+        if k > 1:
+            cur = product_set(cur, p)
+        union = union | cur
+        if union.covers_units:
+            return k, union
+    return None, union
 
 
 def invert_set(a: ResidueSet) -> ResidueSet:
@@ -381,9 +401,9 @@ def density_report(q: int, eta: Eta | float | str = 1, epsilon: float | None = N
     passed explicitly; the benchmark is an asymptotic constant, so the
     verdict is recorded rather than asserted.
     """
-    qv = modulus_value(q)
     e = Eta.coerce(eta)
-    p = prime_residues(qv, e)
+    p = prime_residues(q, e)
+    qv = p.q
     p2 = product_set(p, p)
     density = len(p2) / qv
     eps = epsilon
@@ -422,7 +442,7 @@ def subsets_not_coset_trapped(q: int) -> list[ResidueSet]:
 
     Exhaustive enumeration -- intended for q <= 17 or so (2^(q-1) subsets).
     """
-    qv = modulus_value(q)
+    qv = character_table(q).q
     out = []
     for mask in range(1, 1 << (qv - 1)):
         s = ResidueSet(qv, mask << 1)

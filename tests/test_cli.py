@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from primecover import modular
 from primecover.cli import main
 
 
@@ -186,3 +188,43 @@ def test_internal_error_exits_three(monkeypatch, capsys):
     assert main(["erdos-scan", "--q", "101"]) == 3
     err = capsys.readouterr().err
     assert err.splitlines() == ["internal error: AssertionError: forced drift"]
+
+
+_SINGLE_Q_COMMANDS = ("erdos-scan", "coset-scan", "theorem1", "theorem2", "theorem3", "density")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [([cmd, "--q", "15"], "modulus must be an odd prime >= 3, got 15") for cmd in _SINGLE_Q_COMMANDS]
+    + [
+        (["density", "--q", "1000000007"], "modulus budget is q <= 10^6, got 1000000007"),
+        (["theorem1", "--q", "1000003"], "modulus budget is q <= 10^6, got 1000003"),
+    ],
+)
+def test_bad_single_modulus_exits_two(argv, message, capsys):
+    t0 = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < 1.0  # rejected before any sieve or table is built
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "argv, q_lo, q_hi",
+    [
+        (["coset-scan", "--q-min", "3", "--q-max", "2000"], 3, 2000),
+        (["erdos-scan", "--q", "10007"], 10007, 10007),
+    ],
+)
+def test_one_primality_test_per_modulus(argv, q_lo, q_hi, monkeypatch, capsys):
+    calls = []
+    real_is_prime = modular.is_prime
+
+    def counting_is_prime(n):
+        calls.append(n)
+        return real_is_prime(n)
+
+    monkeypatch.setattr(modular, "is_prime", counting_is_prime)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == len(set(calls))
+    assert set(calls) <= set(modular.primes_in_range(q_lo, q_hi))

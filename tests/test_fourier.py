@@ -22,7 +22,7 @@ from primecover.fourier import (
     sup_nontrivial_mult_coeff,
     weil_audit,
 )
-from primecover.modular import cached_inverse_table, character_table
+from primecover.modular import character_table, inverse_table
 from primecover.primes import prime_residues
 from primecover.sieves import SieveParams, SieveWeights, dirac_weights, linear_lower, selberg_upper
 
@@ -246,7 +246,7 @@ def test_solution_count_dirac_is_hyperbola_count():
     x = 50
     w = dirac_weights(x)
     rep = solution_count_fourier(w, 7, q)
-    inv = cached_inverse_table(q)
+    inv = inverse_table(q)
     brute = sum(1 for n in range(1, x + 1) if (7 * inv[n]) % q <= x)
     assert rep.direct == pytest.approx(brute, abs=1e-9)
     assert rep.rel_gap < 1e-6

@@ -3,23 +3,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primecover.coset import coset_scan_report
+from primecover.fourier import (
+    additive_transform,
+    kloosterman,
+    kloosterman_row,
+    linear_exponential_sum,
+    weil_audit,
+)
 from primecover.modular import (
     CharacterTable,
-    Modulus,
     character_table,
-    character_value,
     divisors,
     factorize,
     inverse_table,
     is_prime,
     isqrt_floor,
     mod_inverse,
+    modulus_value,
     order_of,
     primes_in_range,
     primitive_root,
     subgroup_of_index,
     subgroups,
 )
+from primecover.primes import prime_residues
+from primecover.products import density_report
 
 SMALL_PRIMES = primes_in_range(3, 200)
 
@@ -47,11 +56,11 @@ def test_primes_in_range_vs_point_test(lo, hi):
 
 
 def test_modulus_validation():
-    Modulus(3)
-    Modulus(10007)
+    modulus_value(3)
+    modulus_value(10007)
     for bad in (1, 2, 4, 9, 15):
         with pytest.raises(ValueError):
-            Modulus(bad)
+            modulus_value(bad)
 
 
 def test_mod_inverse_identities():
@@ -133,9 +142,9 @@ def test_dlog_bijection_exhaustive():
 
 def test_character_values_examples():
     t5 = character_table(5)
-    assert character_value(t5, 0, 3) == 1  # principal
+    assert t5.value(0, 3) == 1  # principal
     # j=2 is the quadratic character; dlog_2(2) = 1 so chi_2(2) = e(1/2) = -1
-    assert abs(character_value(t5, 2, 2) - (-1)) < 1e-12
+    assert abs(t5.value(2, 2) - (-1)) < 1e-12
     with pytest.raises(ValueError):
         t5.value(2, 0)
     with pytest.raises(ValueError):
@@ -198,3 +207,35 @@ def test_subgroup_closure_exhaustive():
 def test_subgroup_of_index_rejects_nondivisor():
     with pytest.raises(ValueError):
         subgroup_of_index(7, 4)
+
+
+_RAW_Q_ENTRIES = {
+    f.__name__: f
+    for f in (
+        character_table,
+        CharacterTable,
+        primitive_root,
+        subgroups,
+        inverse_table,
+        prime_residues,
+        coset_scan_report,
+        density_report,
+        kloosterman_row,
+        weil_audit,
+    )
+}
+_RAW_Q_ENTRIES.update(
+    subgroup_of_index=lambda q: subgroup_of_index(q, 1),
+    mod_inverse=lambda q: mod_inverse(2, q),
+    order_of=lambda q: order_of(2, q),
+    kloosterman=lambda q: kloosterman(1, 1, q),
+    additive_transform=lambda q: additive_transform(np.zeros(q), q),
+    linear_exponential_sum=lambda q: linear_exponential_sum(1, q, 1),
+)
+
+
+@pytest.mark.parametrize("q", (1, 4, 15, 1000003))  # 1000003 is prime, above the ceiling
+@pytest.mark.parametrize("entry", sorted(_RAW_Q_ENTRIES))
+def test_raw_modulus_rejected_at_every_entry(entry, q):
+    with pytest.raises(ValueError, match="modulus"):
+        _RAW_Q_ENTRIES[entry](q)
