@@ -155,6 +155,16 @@ def kloosterman(r: int, s: int, q: int) -> complex:
     return complex(_unit_roots(qv)[idx].sum())
 
 
+GRID_MAX_MODULUS = 5000  # q x q index and value grids: ~200 MB of int64 each at the cap
+
+
+def _grid_table(q: int):
+    """character_table(q) for a routine that allocates q x q grids, after its budget check."""
+    if int(q) > GRID_MAX_MODULUS:
+        raise ValueError(f"modulus budget for q x q grids is q <= {GRID_MAX_MODULUS}, got {q}")
+    return character_table(q)
+
+
 @functools.lru_cache(maxsize=4)
 def kloosterman_row(q: int) -> np.ndarray:
     """Kl2(1, u; q) for u in [0, q-1]; entry 0 is the degenerate Ramanujan value -1.
@@ -162,7 +172,7 @@ def kloosterman_row(q: int) -> np.ndarray:
     Every nondegenerate sum reduces to this row: Kl2(r, s; q) = Kl2(1, rs; q)
     by substituting n -> r^-1 n.
     """
-    qv = character_table(q).q
+    qv = _grid_table(q).q
     inv = inverse_table(qv)
     ns = np.arange(1, qv)
     us = np.arange(qv)
@@ -176,7 +186,7 @@ def weil_audit(q: int, tol: float = 1e-6) -> AuditReport:
     Also verifies that every sum is real (conjugation symmetry n <-> -n)
     and symmetric under r <-> s (substitution n <-> n^-1).
     """
-    qv = character_table(q).q
+    qv = _grid_table(q).q
     inv = inverse_table(qv)
     roots = _unit_roots(qv)
     ns = np.arange(1, qv)
@@ -321,9 +331,9 @@ def solution_count_fourier(w: SieveWeights, a: int, q: int) -> SolutionCountRepo
     double frequency sum against complete exponential sums: Kloosterman sums
     off the axes, Ramanujan sums (-1) on them, and q-1 at the origin.  The
     off-diagonal block is also re-estimated with |Kl2| <= 2*sqrt(q) to expose
-    the bound chain.  Budgeted for q <= ~5000 (dense q x q frequency grid).
+    the bound chain.  Refuses q > GRID_MAX_MODULUS (dense q x q frequency grid).
     """
-    qv = character_table(q).q
+    qv = _grid_table(q).q
     if w.kind != UPPER:
         raise ValueError("solution counts are audited for upper weights")
     if a % qv == 0:

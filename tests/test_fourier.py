@@ -274,6 +274,25 @@ def test_solution_count_rejects_bad_inputs():
         solution_count_fourier(dirac_weights(2000), 3, q)  # x >= q
 
 
+def test_grid_routines_reject_q_above_budget_before_allocating(monkeypatch):
+    # 10007 is a prime above GRID_MAX_MODULUS: refused before a table or a q x q grid exists
+    from primecover import fourier
+
+    def no_table(q):
+        raise AssertionError("character table built before the budget check")
+
+    monkeypatch.setattr(fourier, "character_table", no_table)
+    q = 10007
+    w = selberg_upper(SieveParams(int(q**0.75), 0.2))
+    for call in (
+        lambda: kloosterman_row(q),
+        lambda: weil_audit(q),
+        lambda: solution_count_fourier(w, 3, q),
+    ):
+        with pytest.raises(ValueError, match="q x q"):
+            call()
+
+
 def test_l1_norm_degenerate_delta():
     # lambda tuned so w = delta at n=1: unimodular spectrum, L = q - 1 exactly
     q = 101

@@ -1,12 +1,15 @@
+import contextlib
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primecover import products
 from primecover.coset import is_coset_trapped
-from primecover.modular import mod_inverse
+from primecover.modular import character_table, mod_inverse
 from primecover.primes import prime_residues
 from primecover.products import (
     RULE_COMPLETE,
@@ -27,7 +30,7 @@ from primecover.products import (
     spectral_energy,
     subsets_not_coset_trapped,
 )
-from primecover.residues import ResidueSet, positions
+from primecover.residues import ResidueSet, from_positions, positions
 
 
 def test_product_set_worked_example_q5():
@@ -80,6 +83,115 @@ def test_product_set_fft_route_matches_rotations():
             for t in positions(ea, n).tolist():
                 acc |= products._rotl(eb, t, n, mask)
             assert via_fft == acc
+
+
+def _full_rotation(e1, e2, n):
+    """The rotation loop over every element of e1, with no early exit."""
+    mask = (1 << n) - 1
+    acc = 0
+    for t in positions(e1, n).tolist():
+        acc |= products._rotl(e2, t, n, mask)
+    return acc
+
+
+@contextlib.contextmanager
+def _counted_paths():
+    """Count the rotations and FFT-sumset calls made inside the block."""
+    with (
+        mock.patch.object(products, "_rotl", wraps=products._rotl) as rotl,
+        mock.patch.object(products, "_sumset_exp_fft", wraps=products._sumset_exp_fft) as fft,
+    ):
+        yield rotl, fft
+
+
+def _traced_sumset(e1, e2, n):
+    """_sumset_exp(e1, e2, n), its rotation count and its FFT-sumset call count."""
+    with _counted_paths() as (rotl, fft):
+        out = products._sumset_exp(e1, e2, n)
+    return out, rotl.call_count, fft.call_count
+
+
+def _random_mask(rng, n, size, step=1):
+    """A mask of `size` random positions among the multiples of `step` below n."""
+    return from_positions(step * rng.choice(n // step, size, replace=False), n)
+
+
+# q - 1 = 2, 4, 2 * 1019: every operand pair below the pigeonhole size rotates in full
+@pytest.mark.parametrize("q", (3, 5, 2039))
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), da=st.floats(0, 1), db=st.floats(0, 1), square=st.booleans())
+def test_sumset_full_rotation_vs_oracle(q, seed, da, db, square):
+    n = q - 1
+    rng = np.random.default_rng(seed)
+    units = 1 + np.arange(n)
+    a = ResidueSet.from_elements(q, units[rng.random(n) < da].tolist())
+    b = a if square else ResidueSet.from_elements(q, units[rng.random(n) < db].tolist())
+    table = character_table(q)
+    ea, eb = products._exp_bits(a, table), products._exp_bits(b, table)
+    out, rotations, fft = _traced_sumset(ea, eb, n)
+    assert fft == 0
+    assert out == _full_rotation(ea, eb, n)
+    if len(a) + len(b) > n:  # pigeonhole exit
+        assert rotations == 0 and out == (1 << n) - 1
+    else:
+        assert rotations <= min(len(a), len(b)) <= products._FFT_ROTATIONS
+    if q < 7:
+        assert product_set(a, b) == product_set_naive(a, b)
+
+
+@settings(deadline=None, max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1), square=st.booleans())
+def test_sumset_probe_fills_without_fft(seed, square):
+    n = 10006
+    rng = np.random.default_rng(seed)
+    ea = _random_mask(rng, n, 3000)
+    eb = ea if square else _random_mask(rng, n, 3000)
+    out, rotations, fft = _traced_sumset(ea, eb, n)
+    assert out == (1 << n) - 1 == _full_rotation(ea, eb, n)
+    assert fft == 0
+    assert 0 < rotations < products._FFT_ROTATIONS < 3000
+
+
+@settings(deadline=None, max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1100, 3000), square=st.booleans())
+def test_sumset_probe_falls_back_to_fft(seed, size, square):
+    # even discrete logs are the index-2 subgroup: the sumset never fills the group
+    n = 10006
+    rng = np.random.default_rng(seed)
+    ea = _random_mask(rng, n, size, step=2)
+    eb = ea if square else _random_mask(rng, n, size, step=2)
+    out, rotations, fft = _traced_sumset(ea, eb, n)
+    assert out == _full_rotation(ea, eb, n)
+    assert fft == 1
+    assert 0 < rotations < size
+
+
+@settings(deadline=None, max_examples=6)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size_a=st.integers(1100, 3000),
+    size_b=st.integers(1100, 3000),
+)
+def test_sumset_direct_fft(seed, size_a, size_b):
+    n = 100002
+    rng = np.random.default_rng(seed)
+    ea, eb = _random_mask(rng, n, size_a), _random_mask(rng, n, size_b)
+    for e1, e2 in ((ea, ea), (ea, eb)):
+        out, rotations, fft = _traced_sumset(e1, e2, n)
+        assert out == _full_rotation(e1, e2, n)
+        assert (rotations, fft) == (0, 1)
+
+
+def test_prime_pair_products_near_ceiling_rotate():
+    # P_1 * P_1 at q = 999983 fills the group in ~200 rotations, without the FFT
+    q = 999983
+    p = prime_residues(q)
+    with _counted_paths() as (rotl, fft):
+        pp = product_set(p, p)
+    assert fft.call_count == 0 and 0 < rotl.call_count < products._FFT_ROTATIONS
+    table = character_table(q)
+    e = products._exp_bits(p, table)
+    assert pp == products._set_from_exp(products._sumset_exp_fft(e, e, q - 1), table)
 
 
 def _cyclic_oracle(a, b):
