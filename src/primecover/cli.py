@@ -104,8 +104,7 @@ def _erdos_row(task: tuple[int, str]) -> tuple:
     p = prime_residues(q, Eta.parse(eta_text))
     p2 = products.product_set(p, p)
     missing = p2.complement_units()
-    first = next(iter(missing), None)
-    return (q, len(p), len(p2), len(missing), first)
+    return (q, len(p), len(p2), len(missing), missing.first())
 
 
 def cmd_erdos_scan(args) -> int:

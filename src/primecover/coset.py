@@ -44,7 +44,7 @@ EULER_PRODUCT_TAIL_BOUND = 2e-6  # remainder of sum_p O(1/p^2) beyond the limit
 
 def _dlog_gcd(p: ResidueSet, table: CharacterTable) -> int:
     """gcd(q-1, pairwise dlog differences); > 1 iff trapped in a proper coset."""
-    logs = table.dlog[positions(p.bits, p.q)]
+    logs = table.member_logs(p)
     return math.gcd(table.order, int(np.gcd.reduce(logs - logs[0])))
 
 
@@ -79,7 +79,7 @@ def coset_obstruction(p: ResidueSet, table: CharacterTable | None = None) -> Cos
     d = _dlog_gcd(p, table)
     if d == 1:
         return None
-    witness = CosetWitness(subgroup_of_index(p.q, d), next(iter(p)))
+    witness = CosetWitness(subgroup_of_index(p.q, d), p.first())
     if not p.is_subset(witness.coset()):
         raise AssertionError("dlog-gcd witness failed containment; bug")
     return witness
@@ -113,7 +113,7 @@ def character_constant_on(p: ResidueSet, table: CharacterTable, j: int, tol: flo
         raise ValueError("needs a nonempty set")
     if not 0 <= j <= table.order - 1:
         raise ValueError(f"character index {j} outside [0, {table.order - 1}]")
-    vals = table.roots[(j * table.dlog[positions(p.bits, p.q)]) % table.order]
+    vals = table.roots[(j * table.member_logs(p)) % table.order]
     return bool(np.abs(vals - vals[0]).max() <= tol)
 
 
@@ -280,7 +280,7 @@ def obstruction_tension_report(q: int, eta: Eta | float | str = 1) -> AuditRepor
     d = witness.subgroup.index
     j0 = table.order // d  # chi_{j0} generates the characters constant on P
     x = min(e.largest_admitted(qv), qv - 1)
-    t0 = int(table.dlog[next(iter(p))])
+    t0 = int(table.dlog[p.first()])
 
     best = None
     for k in range(1, d):

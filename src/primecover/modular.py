@@ -1,11 +1,12 @@
 """Exact arithmetic in (Z/qZ)^x for prime q.
 
 Primality is a deterministic Miller-Rabin test (fixed witness set, valid for
-all 64-bit inputs), so nothing downstream is probabilistic.  Discrete logs
-are built by one pass of repeated multiplication by the least primitive
-root: O(q) time and memory, which is fine at desk scale.  Characters are
-evaluated lazily from the discrete-log table and a precomputed table of
-(q-1)-th roots of unity.
+all 64-bit inputs), so nothing downstream is probabilistic.  A CharacterTable
+builds only pow_g[t] = g^t, for the least primitive root g, by doubling
+(pow_g[m:2m] = pow_g[:m] * g^m mod q, log2(q) numpy steps).  Its set codec
+(`to_dlog`, `member_logs`, `from_dlog`) permutes bit flags through pow_g, so
+the discrete-log table is built only on first use, like the (q-1)-th roots of
+unity that characters are evaluated from.
 
 The CharacterTable is the validated form of a modulus: `modulus_value`
 rejects anything but an odd prime 3 <= q <= 10^6 (the scale ceiling is
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .residues import ResidueSet, from_positions
+from .residues import ResidueSet, from_positions, pack, unpack
 
 # Deterministic Miller-Rabin witnesses for every n < 3.3 * 10^24 (covers 64-bit).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -103,13 +104,13 @@ def divisors(n: int) -> list[int]:
 
 
 class CharacterTable:
-    """Primitive root, discrete logs and character evaluator for (Z/qZ)^x.
+    """Primitive root, power table, set codec and character evaluator for (Z/qZ)^x.
 
     Character j (0 <= j <= q-2) sends g^t to e(j*t/(q-1)); j = 0 is the
     principal character.
     """
 
-    __slots__ = ("q", "g", "order", "dlog", "pow_g", "_roots")
+    __slots__ = ("q", "g", "order", "pow_g", "_dlog", "_roots")
 
     def __init__(self, q: int):
         qv = modulus_value(q)
@@ -119,27 +120,41 @@ class CharacterTable:
         self.g = next(
             g for g in range(2, qv) if all(pow(g, (qv - 1) // p, qv) != 1 for p in order_factors)
         )
-        # baby-step/giant-step power table: pow_g[i*B + j] = g^(i*B) * g^j,
-        # vectorized since entries stay below q^2 < 2^63 at desk scale
-        n = qv - 1
-        block = min(n, 1024)
-        baby = np.empty(block, dtype=np.int64)
-        v = 1
-        for j in range(block):
-            baby[j] = v
-            v = v * self.g % qv
-        stride_count = -(-n // block)
-        giants = np.empty(stride_count, dtype=np.int64)
-        w = 1
-        for i in range(stride_count):
-            giants[i] = w
-            w = w * v % qv
-        pow_g = (giants[:, None] * baby[None, :] % qv).reshape(-1)[:n]
-        dlog = np.full(qv, -1, dtype=np.int64)
-        dlog[pow_g] = np.arange(n)
-        self.dlog = dlog
-        self.pow_g = pow_g
+        # doubling: pow_g[m:2m] = pow_g[:m] * g^m, log2(q) vectorized steps; the
+        # products stay below q^2 < 2^63 at desk scale
+        self.pow_g = np.ones(qv - 1, dtype=np.int64)
+        m = 1
+        while m < self.order:
+            head = self.pow_g[m : 2 * m]
+            np.multiply(self.pow_g[: len(head)], pow(self.g, m, qv), out=head)
+            head %= qv
+            m *= 2
+        self._dlog: np.ndarray | None = None
         self._roots: np.ndarray | None = None
+
+    @property
+    def dlog(self) -> np.ndarray:
+        """dlog[a] = t with g^t = a (dlog[0] = -1), built on first use."""
+        if self._dlog is None:
+            self._dlog = np.full(self.q, -1, dtype=np.int64)
+            self._dlog[self.pow_g] = np.arange(self.order)
+        return self._dlog
+
+    def to_dlog(self, s: ResidueSet) -> int:
+        """Residue-indexed set -> mask with bit t set iff g^t is a member."""
+        return pack(unpack(s.bits, self.q)[self.pow_g])
+
+    def member_logs(self, s: ResidueSet) -> np.ndarray:
+        """Ascending discrete logs of the members of s."""
+        return unpack(s.bits, self.q)[self.pow_g].nonzero()[0]
+
+    def from_dlog(self, bits: int) -> ResidueSet:
+        """Discrete-log-indexed mask -> residue-indexed ResidueSet."""
+        if bits == (1 << self.order) - 1:
+            return ResidueSet.full_units(self.q)
+        flags = np.zeros(self.q, dtype=np.uint8)
+        flags[self.pow_g] = unpack(bits, self.order)
+        return ResidueSet(self.q, pack(flags))
 
     @property
     def roots(self) -> np.ndarray:
@@ -167,7 +182,7 @@ class CharacterTable:
         return out
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=2)  # scans use each table once; audit suites revisit few
 def character_table(q: int) -> CharacterTable:
     """Shared per-modulus CharacterTable (tables are immutable)."""
     return CharacterTable(q)

@@ -2,8 +2,8 @@
 
 The group is cyclic of order q-1, so a set maps through discrete logs to a
 subset of Z/(q-1) and product sets become sumsets.  Every product goes that
-way, whatever the operand sizes; the residue codec (`residues.positions` /
-`from_positions`) carries sets into and out of the discrete-log masks.  A
+way, whatever the operand sizes; `CharacterTable.to_dlog` / `from_dlog` carry
+sets into and out of the discrete-log masks, a full mask without decoding.  A
 sumset is an OR of cyclic bit rotations of the larger operand B, one big-int
 rotation, O(q / wordsize), per element of the smaller operand A, stopping as
 soon as the group is full.  Up to _FFT_ROTATIONS rotations beat the exact FFT
@@ -13,12 +13,13 @@ within _FFT_ROTATIONS: one rotation covers a share |B| / (q-1), so about
 ln(q) * (q-1) / |B| leave no gap (measured fills took 0.8-1.9x that), and
 the probe allows 2 * log2(q) * (q-1) / |B|; if the group is not full by then,
 the FFT computes the sumset.  P_1 * P_1 near q = 10^6 fills in about 200 of
-510 rotations; an operand trapped in a proper coset never fills and pays the
-probe on top of the FFT.  If |A| + |B| > q - 1 the sumset is the whole group
-by pigeonhole (for any u, A and u - B must intersect), which short-circuits
-the saturated tail of an expansion run.  `product_set_naive`, the
-definition-chasing double loop, is kept only as the oracle the tests compare
-against.
+510 rotations.  Half way, u gaps left would shrink to about u^2 / (q-1), so
+the probe gives up there if u^2 > q - 1: an operand trapped in a proper coset
+never fills and pays half the probe on top of the FFT.  If |A| + |B| > q - 1
+the sumset is the whole group by pigeonhole (for any u, A and u - B must
+intersect), which short-circuits the saturated tail of an expansion run.
+`product_set_naive`, the definition-chasing double loop, is kept only as the
+oracle the tests compare against.
 
 Both integer convolutions, the FFT sumset and `solution_counts_all`, go
 through one kernel, `_cyclic_counts`.  It zero-pads the length-(q-1)
@@ -43,20 +44,9 @@ from .coset import is_coset_trapped
 from .modular import character_table
 from .primes import Eta, prime_residues
 from .reports import FAIL, PASS, RECORDED, AuditReport
-from .residues import ResidueSet, from_positions, positions
+from .residues import ResidueSet, from_positions, pack, positions, unpack
 
 _FFT_ROTATIONS = 1024  # rotations above which the FFT sumset wins, for q >= 5 * 10^4
-
-
-def _exp_bits(s: ResidueSet, table) -> int:
-    """Residue-indexed bitset -> discrete-log-indexed bitset."""
-    return from_positions(table.dlog[positions(s.bits, s.q)], table.order)
-
-
-def _set_from_exp(expbits: int, table) -> ResidueSet:
-    """Discrete-log-indexed bitset -> residue-indexed ResidueSet."""
-    residues = table.pow_g[positions(expbits, table.order)]
-    return ResidueSet(table.q, from_positions(residues, table.q))
 
 
 def _rotl(bits: int, t: int, n: int, mask: int) -> int:
@@ -99,15 +89,10 @@ def _cyclic_counts(a: np.ndarray, b: np.ndarray, total: int) -> np.ndarray:
 
 def _sumset_exp_fft(e1: int, e2: int, n: int) -> int:
     """Sumset support: the nonzero entries of the exact pair counts."""
-    a = np.zeros(n)
-    a[positions(e1, n)] = 1.0
-    if e1 == e2:
-        b = a
-    else:
-        b = np.zeros(n)
-        b[positions(e2, n)] = 1.0
+    a = unpack(e1, n).astype(np.float64)
+    b = a if e1 == e2 else unpack(e2, n).astype(np.float64)
     counts = _cyclic_counts(a, b, e1.bit_count() * e2.bit_count())
-    return from_positions(counts.nonzero()[0], n)
+    return pack(counts > 0)
 
 
 def _sumset_exp(e1: int, e2: int, n: int) -> int:
@@ -122,12 +107,15 @@ def _sumset_exp(e1: int, e2: int, n: int) -> int:
         rotations = 2 * n.bit_length() * n // big.bit_count()  # fill estimate, with margin
         if rotations > _FFT_ROTATIONS:
             return _sumset_exp_fft(e1, e2, n)
+    probe = rotations < small.bit_count()
     acc = 0
-    for t in positions(small, n)[:rotations].tolist():
+    for i, t in enumerate(positions(small, n)[:rotations].tolist()):
+        if probe and i == rotations // 2 and (n - acc.bit_count()) ** 2 > n:
+            break  # u gaps at half way leave about u^2 / n > 1 at the end
         acc |= _rotl(big, t, n, mask)
         if acc == mask:
             return acc
-    if rotations < small.bit_count():
+    if probe:
         return _sumset_exp_fft(e1, e2, n)  # the probe did not fill the group
     return acc
 
@@ -139,7 +127,9 @@ def product_set(a: ResidueSet, b: ResidueSet) -> ResidueSet:
     if not a or not b:
         return ResidueSet.empty(a.q)
     table = character_table(a.q)
-    return _set_from_exp(_sumset_exp(_exp_bits(a, table), _exp_bits(b, table), a.q - 1), table)
+    ea = table.to_dlog(a)
+    eb = ea if b is a else table.to_dlog(b)
+    return table.from_dlog(_sumset_exp(ea, eb, table.order))
 
 
 def product_set_naive(a: ResidueSet, b: ResidueSet) -> ResidueSet:
@@ -163,7 +153,7 @@ def iterated_product(p: ResidueSet, k: int) -> ResidueSet:
         raise ValueError("k must be >= 1")
     table = character_table(p.q)
     n = p.q - 1
-    base = _exp_bits(p, table)
+    base = table.to_dlog(p)
     acc: int | None = None
     e = base
     while k:
@@ -172,7 +162,7 @@ def iterated_product(p: ResidueSet, k: int) -> ResidueSet:
         k >>= 1
         if k:
             e = _sumset_exp(e, e, n)
-    return _set_from_exp(acc, table)
+    return table.from_dlog(acc)
 
 
 def iterated_product_chain(p: ResidueSet, k: int) -> ResidueSet:
@@ -208,7 +198,7 @@ def six_fold_cover(p: ResidueSet) -> tuple[int | None, ResidueSet]:
 def invert_set(a: ResidueSet) -> ResidueSet:
     """{x^-1 : x in A}, by negating discrete logs: (g^t)^-1 = g^(-t)."""
     table = character_table(a.q)
-    logs = table.dlog[positions(a.bits, a.q)]
+    logs = table.member_logs(a)
     return ResidueSet(a.q, from_positions(table.pow_g[(-logs) % table.order], a.q))
 
 
@@ -229,7 +219,7 @@ def solution_count(p: ResidueSet, a: int) -> int:
         return 0
     table = character_table(q)
     n = q - 1
-    logs = table.dlog[positions(p.bits, q)]
+    logs = table.member_logs(p)
     # p1 * p2 = a  <=>  dlog p2 = dlog a - dlog p1 (mod q-1)
     target = from_positions((table.dlog[a] - logs) % n, n)
     return (from_positions(logs, n) & target).bit_count()
@@ -253,7 +243,7 @@ def solution_counts_all(p: ResidueSet) -> np.ndarray:
     q = p.q
     table = character_table(q)
     ind = np.zeros(q - 1)
-    ind[table.dlog[positions(p.bits, q)]] = 1.0
+    ind[table.member_logs(p)] = 1.0
     out = np.zeros(q, dtype=np.int64)
     out[table.pow_g] = _cyclic_counts(ind, ind, len(p) ** 2)
     return out
@@ -387,7 +377,7 @@ def expansion_schedule(a: ResidueSet, exponent_per_step: int = 1) -> ExpansionTr
     mask = (1 << n) - 1
     theoretical = 8 * exponent_per_step
 
-    e = _exp_bits(a, table)
+    e = table.to_dlog(a)
     k = exponent_per_step
     steps: list[ExpansionStep] = []
     if e == mask:

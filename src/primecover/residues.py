@@ -5,11 +5,12 @@ as a bit mask (bit r set <=> residue r in the set).  Set algebra rides on
 int bit operations; cardinality is a popcount.  Bit 0 is never set -- all
 the arithmetic in this package is multiplicative.
 
-`positions` and `from_positions` are the one codec between a mask and the
-ascending array of its set-bit indices: every conversion in the package goes
-through them, and only the brute-force oracles still set bits one at a time.
-They serve residue-indexed masks and the discrete-log-indexed masks of the
-product engine alike.
+`unpack` and `pack` are the one codec between a mask and its array of 0/1
+flags, and `positions` / `from_positions` build on them for the ascending
+array of set-bit indices: every conversion in the package goes through them,
+and only the brute-force oracles still set bits one at a time.  The
+product engine's residue <-> discrete-log codec (`CharacterTable.to_dlog`,
+`member_logs`, `from_dlog`) permutes their flags.
 """
 
 from __future__ import annotations
@@ -20,17 +21,27 @@ from typing import Iterable, Iterator
 import numpy as np
 
 
+def unpack(bits: int, length: int) -> np.ndarray:
+    """0/1 uint8 flags of a mask below 2**length: flags[i] = bit i."""
+    raw = np.frombuffer(bits.to_bytes((length + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=length, bitorder="little")
+
+
+def pack(flags: np.ndarray) -> int:
+    """Mask with bit i set for every nonzero flags[i]."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
 def positions(bits: int, length: int) -> np.ndarray:
     """Ascending int64 indices of the set bits of a mask below 2**length."""
-    raw = np.frombuffer(bits.to_bytes((length + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little").nonzero()[0].astype(np.int64, copy=False)
+    return unpack(bits, length).nonzero()[0].astype(np.int64, copy=False)
 
 
 def from_positions(idx, length: int) -> int:
     """Mask with bit i set for every i in `idx`; each index lies in [0, length)."""
     flags = np.zeros(length, dtype=np.uint8)
     flags[idx] = 1
-    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+    return pack(flags)
 
 
 @dataclass(frozen=True)
@@ -76,6 +87,10 @@ class ResidueSet:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements())
+
+    def first(self) -> int | None:
+        """Least member (the lowest set bit, no decode), or None when empty."""
+        return (self.bits & -self.bits).bit_length() - 1 if self.bits else None
 
     def elements(self) -> list[int]:
         """Members ascending, as Python ints (rows and witnesses print them)."""

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,8 @@ from primecover.modular import (
     subgroups,
 )
 from primecover.primes import prime_residues
-from primecover.products import density_report
+from primecover.products import density_report, product_set
+from primecover.residues import ResidueSet
 
 SMALL_PRIMES = primes_in_range(3, 200)
 
@@ -138,6 +141,65 @@ def test_dlog_bijection_exhaustive():
         seen = sorted(int(v) for v in t.dlog[1:])
         assert seen == list(range(q - 1))
         assert all(pow(t.g, int(t.dlog[a]), q) == a for a in range(1, q))
+
+
+@pytest.mark.parametrize("q", (3, 5, 101, 2039))
+def test_doubling_power_table_exhaustive(q):
+    t = CharacterTable(q)
+    assert t.pow_g.tolist() == [pow(t.g, k, q) for k in range(q - 1)]
+    assert t.dlog[0] == -1
+    assert t.dlog[t.pow_g].tolist() == list(range(q - 1))  # the inverse permutation
+
+
+def test_doubling_power_table_at_ceiling():
+    q = 999983
+    t = CharacterTable(q)
+    ks = np.random.default_rng(7).integers(0, q - 1, 1000).tolist() + [0, q - 2]
+    assert [int(t.pow_g[k]) for k in ks] == [pow(t.g, k, q) for k in ks]
+    assert sorted(t.pow_g[:: (q - 1) // 2].tolist()) == [1, q - 1]
+
+
+@functools.cache
+def _eager_dlog(q: int) -> list[int]:
+    """dlog[g^k] = k by one pass of repeated multiplication (the oracle)."""
+    g = character_table(q).g
+    dlog, v = [-1] * q, 1
+    for k in range(q - 1):
+        dlog[v] = k
+        v = v * g % q
+    return dlog
+
+
+@pytest.mark.parametrize("q", (3, 5, 2039, 10007))
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), density=st.floats(0, 1))
+def test_dlog_codec_vs_eager_oracle(q, seed, density):
+    t, dlog = character_table(q), _eager_dlog(q)
+    rng = np.random.default_rng(seed)
+    units = range(1, q)
+    cases = [
+        ResidueSet.empty(q),
+        ResidueSet.from_elements(q, [int(rng.integers(1, q))]),
+        ResidueSet.full_units(q),
+        ResidueSet.from_elements(q, [a for a in units if rng.random() < density]),
+    ]
+    for s in cases:
+        logs = sorted(dlog[a] for a in s)
+        assert t.member_logs(s).tolist() == logs
+        assert t.to_dlog(s) == sum(1 << k for k in logs)
+        assert t.from_dlog(t.to_dlog(s)) == s
+    ks = {k for k in range(q - 1) if rng.random() < density}
+    members = [a for a in units if dlog[a] in ks]
+    assert t.from_dlog(sum(1 << k for k in ks)) == ResidueSet.from_elements(q, members)
+
+
+def test_product_engine_never_builds_dlog():
+    character_table.cache_clear()
+    p = prime_residues(999983)
+    assert len(product_set(p, p)) == 999982
+    assert character_table(999983)._dlog is None
+    coset_scan_report(10007)
+    assert character_table(10007)._dlog is None
 
 
 def test_character_values_examples():

@@ -77,7 +77,7 @@ def test_product_set_fft_route_matches_rotations():
         for size in (n // 7, n // 3, n // 2):
             a = ResidueSet.from_elements(q, rng.sample(range(1, q), size))
             b = ResidueSet.from_elements(q, rng.sample(range(1, q), size))
-            ea, eb = products._exp_bits(a, table), products._exp_bits(b, table)
+            ea, eb = table.to_dlog(a), table.to_dlog(b)
             via_fft = products._sumset_exp_fft(ea, eb, n)
             acc = 0
             for t in positions(ea, n).tolist():
@@ -127,7 +127,7 @@ def test_sumset_full_rotation_vs_oracle(q, seed, da, db, square):
     a = ResidueSet.from_elements(q, units[rng.random(n) < da].tolist())
     b = a if square else ResidueSet.from_elements(q, units[rng.random(n) < db].tolist())
     table = character_table(q)
-    ea, eb = products._exp_bits(a, table), products._exp_bits(b, table)
+    ea, eb = table.to_dlog(a), table.to_dlog(b)
     out, rotations, fft = _traced_sumset(ea, eb, n)
     assert fft == 0
     assert out == _full_rotation(ea, eb, n)
@@ -166,6 +166,20 @@ def test_sumset_probe_falls_back_to_fft(seed, size, square):
     assert 0 < rotations < size
 
 
+def test_sumset_probe_abandons_at_half_estimate():
+    # index-2-subgroup operands never fill: at half the fill estimate at least
+    # n/2 gaps remain, and (n/2)^2 > n, so the probe gives up there
+    n = 100002
+    rng = np.random.default_rng(5)
+    ea, eb = _random_mask(rng, n, 3400, step=2), _random_mask(rng, n, 3400, step=2)
+    estimate = 2 * n.bit_length() * n // 3400
+    assert estimate == 1000 <= products._FFT_ROTATIONS < 3400
+    for e1, e2 in ((ea, ea), (ea, eb)):
+        out, rotations, fft = _traced_sumset(e1, e2, n)
+        assert (rotations, fft) == (estimate // 2, 1)
+        assert out == _full_rotation(e1, e2, n)
+
+
 @settings(deadline=None, max_examples=6)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -190,8 +204,8 @@ def test_prime_pair_products_near_ceiling_rotate():
         pp = product_set(p, p)
     assert fft.call_count == 0 and 0 < rotl.call_count < products._FFT_ROTATIONS
     table = character_table(q)
-    e = products._exp_bits(p, table)
-    assert pp == products._set_from_exp(products._sumset_exp_fft(e, e, q - 1), table)
+    e = table.to_dlog(p)
+    assert pp == table.from_dlog(products._sumset_exp_fft(e, e, q - 1))
 
 
 def _cyclic_oracle(a, b):

@@ -13,6 +13,16 @@ def test_from_elements_and_membership():
     assert len(s) == 2
 
 
+def test_first_is_least_member():
+    assert ResidueSet.empty(7).first() is None
+    assert ResidueSet.from_elements(7, [5, 3, 6]).first() == 3
+    assert ResidueSet.full_units(999983).first() == 1
+    assert ResidueSet.from_elements(999983, [999982]).first() == 999982
+    for bits in range(2, 1 << 11, 2):
+        s = ResidueSet(11, bits)
+        assert s.first() == min(s.elements())
+
+
 def test_zero_rejected():
     with pytest.raises(ValueError):
         ResidueSet.from_elements(7, [7])
