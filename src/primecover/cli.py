@@ -15,7 +15,6 @@ import argparse
 import cmath
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -88,6 +87,8 @@ def _pmap(fn, items, jobs: int):
         raise ValueError(f"--jobs must be at least 1, got {jobs}")
     if jobs == 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ProcessPoolExecutor  # deferred: ~20 ms of imports
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs))))
 

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as complex_gamma
 
 from .modular import (
     CharacterTable,
@@ -180,6 +179,32 @@ def euler_product_constant(z: complex, prime_limit: int = EULER_PRODUCT_PRIME_LI
     return complex(cmath.exp(total))
 
 
+# B_2k / (2k (2k - 1)), k = 1..8: the coefficients of Stirling's series for log Gamma
+_STIRLING = (
+    1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400
+)
+
+
+def _stirling_tail(w: complex) -> complex:
+    """sum_k B_2k / (2k (2k - 1) w^(2k - 1)) for k = 1..8."""
+    inv2, acc = 1 / (w * w), 0j
+    for c in reversed(_STIRLING):
+        acc = acc * inv2 + c
+    return acc / w
+
+
+def _rgamma(z: complex) -> complex:
+    """1/Gamma(z) = z(z+1)...(z+11)/12! * Gamma(13)/Gamma(z+12) for |z| <= 1.
+
+    log(Gamma(z+12)/Gamma(13)) is Stirling's series regrouped around log(w/13),
+    so no two terms of size 30 are rounded and subtracted; 1/Gamma(1) = 1 exactly.
+    """
+    w = z + 12
+    tails = _stirling_tail(w) - _stirling_tail(13)
+    log_ratio = (w - 0.5) * cmath.log(w / 13) + (z - 1) * (math.log(13) - 1) + tails
+    return math.prod((z + k) / (k + 1) for k in range(12)) * cmath.exp(-log_ratio)
+
+
 def omega_power_sum(z: complex, x: int) -> OmegaSumReport:
     """Exact sum_{n<=x} z^Omega(n) vs x * (log x)^(z-1) * C(z)/Gamma(z).
 
@@ -202,7 +227,7 @@ def omega_power_sum(z: complex, x: int) -> OmegaSumReport:
 
     logx = math.log(x)
     c = euler_product_constant(z)
-    main = x * cmath.exp((z - 1) * cmath.log(logx)) * (c / complex(complex_gamma(z)))
+    main = x * cmath.exp((z - 1) * cmath.log(logx)) * (c * _rgamma(z))
     rel = abs(lhs - main) / abs(main)
     re_ok = z.real >= -0.5 - 1e-12
     return OmegaSumReport(

@@ -23,12 +23,13 @@ oracle the tests compare against.
 
 Both integer convolutions, the FFT sumset and `solution_counts_all`, go
 through one kernel, `_cyclic_counts`.  It zero-pads the length-(q-1)
-indicators to `scipy.fft.next_fast_len(2(q-1) - 1)`, so no transform runs
-at q - 1 itself, whose large prime factors would send the FFT to Bluestein
-(3-4x slower near q = 10^6); the linear convolution's tail is then wrapped
-back onto its head.  Squaring a set, as every pair-product row and every
-expansion step does, takes one forward transform instead of two.  The
-counts must come out integral and total |A| * |B|, or the kernel raises.
+indicators to `_fast_len(2(q-1) - 1)`, the least 2^a * 3^b * 5^c that long,
+so no `numpy.fft` transform runs at q - 1 itself, whose large prime factors
+would send the FFT to Bluestein (3-4x slower near q = 10^6); the linear
+convolution's tail is then wrapped back onto its head.  Squaring a set, as
+every pair-product row and every expansion step does, takes one forward
+transform instead of two.  The counts must come out integral and total
+|A| * |B|, or the kernel raises.
 
 All pair counts use ORDERED pairs throughout.
 """
@@ -56,6 +57,19 @@ def _rotl(bits: int, t: int, n: int, mask: int) -> int:
     return ((bits << t) | (bits >> (n - t))) & mask
 
 
+def _fast_len(m: int) -> int:
+    """Least 2^a * 3^b * 5^c >= m, an FFT length numpy transforms quickly."""
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _cyclic_counts(a: np.ndarray, b: np.ndarray, total: int) -> np.ndarray:
     """Exact cyclic convolution of two 0/1 float indicators of length n.
 
@@ -67,16 +81,14 @@ def _cyclic_counts(a: np.ndarray, b: np.ndarray, total: int) -> np.ndarray:
     integrality check and the check that the counts add up to `total` make
     any drift a hard failure rather than a wrong answer.
     """
-    import scipy.fft  # deferred: a module-level import adds ~35 ms to CLI start-up
-
     n = len(a)
-    size = scipy.fft.next_fast_len(2 * n - 1, real=True)
-    spectrum = scipy.fft.rfft(a, size)
+    size = _fast_len(2 * n - 1)
+    spectrum = np.fft.rfft(a, size)
     if b is a:
         spectrum *= spectrum
     else:
-        spectrum *= scipy.fft.rfft(b, size)
-    conv = scipy.fft.irfft(spectrum, size, overwrite_x=True)
+        spectrum *= np.fft.rfft(b, size)
+    conv = np.fft.irfft(spectrum, size)
     cyclic = conv[:n]
     cyclic[: n - 1] += conv[n : 2 * n - 1]
     counts = np.rint(cyclic)
@@ -221,7 +233,8 @@ def solution_count(p: ResidueSet, a: int) -> int:
     n = q - 1
     logs = table.member_logs(p)
     # p1 * p2 = a  <=>  dlog p2 = dlog a - dlog p1 (mod q-1)
-    target = from_positions((table.dlog[a] - logs) % n, n)
+    log_a = table.member_logs(ResidueSet(q, 1 << a))[0]
+    target = from_positions((log_a - logs) % n, n)
     return (from_positions(logs, n) & target).bit_count()
 
 

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import primecover
 from primecover import modular
 from primecover.cli import main
 
@@ -228,3 +232,23 @@ def test_one_primality_test_per_modulus(argv, q_lo, q_hi, monkeypatch, capsys):
     capsys.readouterr()
     assert len(calls) == len(set(calls))
     assert set(calls) <= set(modular.primes_in_range(q_lo, q_hi))
+
+
+def test_commands_import_neither_scipy_nor_a_process_pool():
+    script = (
+        "import sys\n"
+        "from primecover.cli import main\n"
+        "assert main(['theorem3', '--q', '10007']) == 0\n"
+        "assert main(['omega-sum', '--x', '1000']) == 0\n"
+        "bad = sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process')\n"
+        "print('loaded:', bad, file=sys.stderr)\n"
+        "sys.exit(1 if bad else 0)\n"
+    )
+    src = os.path.dirname(os.path.dirname(primecover.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr

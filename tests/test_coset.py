@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from primecover.coset import (
+    _rgamma,
     character_constant_on,
     character_prefix_max,
     coset_obstruction,
@@ -112,6 +113,17 @@ def test_omega_sum_z_one_exact():
     assert rep.lhs == 10**4 + 0j  # exactly x
     assert abs(rep.euler_product - 1.0) < 1e-9
     assert rep.rel_error < 1e-9
+
+
+def test_rgamma_vs_scipy_unit_circle():
+    from scipy.special import gamma
+
+    assert _rgamma(1 + 0j) == 1
+    zs = np.exp(2j * np.pi * np.arange(10**4) / 10**4)
+    zs = zs[np.abs(zs + 1) >= 1e-3]
+    oracle = 1 / gamma(zs)
+    ours = np.array([_rgamma(complex(z)) for z in zs])
+    assert float(np.max(np.abs(ours - oracle) / np.abs(oracle))) < 2e-14
 
 
 def test_omega_sum_rejects_bad_z():

@@ -30,7 +30,7 @@ from primecover.modular import (
     subgroups,
 )
 from primecover.primes import prime_residues
-from primecover.products import density_report, product_set
+from primecover.products import density_report, product_set, solution_count
 from primecover.residues import ResidueSet
 
 SMALL_PRIMES = primes_in_range(3, 200)
@@ -197,6 +197,9 @@ def test_product_engine_never_builds_dlog():
     character_table.cache_clear()
     p = prime_residues(999983)
     assert len(product_set(p, p)) == 999982
+    members = set(p.elements())
+    expected = sum(1 for x in members if 2 * pow(x, -1, 999983) % 999983 in members)
+    assert solution_count(p, 2) == expected
     assert character_table(999983)._dlog is None
     coset_scan_report(10007)
     assert character_table(10007)._dlog is None

@@ -208,6 +208,22 @@ def test_prime_pair_products_near_ceiling_rotate():
     assert pp == table.from_dlog(products._sumset_exp_fft(e, e, q - 1))
 
 
+def test_fast_len_vs_scipy_exhaustive():
+    from scipy.fft import next_fast_len
+
+    assert [products._fast_len(m) for m in range(1, 5001)] == [
+        next_fast_len(m, real=True) for m in range(1, 5001)
+    ]
+
+
+@settings(deadline=None, max_examples=300)
+@given(m=st.integers(1, 2 * 10**6))
+def test_fast_len_vs_scipy_sampled(m):
+    from scipy.fft import next_fast_len
+
+    assert products._fast_len(m) == next_fast_len(m, real=True)
+
+
 def _cyclic_oracle(a, b):
     n = len(a)
     linear = np.convolve(a, b)  # exact on int64
