@@ -100,9 +100,9 @@ def _pmap(fn, items, jobs: int):
 ERDOS_COLUMNS = ("q", "prime_count", "product_count", "missing_count", "first_missing")
 
 
-def _erdos_row(task: tuple[int, str]) -> tuple:
-    q, eta_text = task
-    p = prime_residues(q, Eta.parse(eta_text))
+def _erdos_row(task: tuple[int, Eta]) -> tuple:
+    q, eta = task
+    p = prime_residues(q, eta)
     p2 = products.product_set(p, p)
     missing = p2.complement_units()
     return (q, len(p), len(p2), len(missing), missing.first())
@@ -110,7 +110,8 @@ def _erdos_row(task: tuple[int, str]) -> tuple:
 
 def cmd_erdos_scan(args) -> int:
     """Per-prime table of |P_eta|, |P_eta^(2)| and the residues still missing."""
-    tasks = [(q, args.eta) for q in _q_list(args)]
+    eta = Eta.parse(args.eta)
+    tasks = [(q, eta) for q in _q_list(args)]
     rows = _pmap(_erdos_row, tasks, args.jobs)
     rows.sort(key=lambda r: r[0])
     _emit_rows(args, ERDOS_COLUMNS, rows)
@@ -310,9 +311,8 @@ def cmd_density(args) -> int:
 COSET_COLUMNS = ("q", "eta", "prime_count", "obstructed", "subgroup_index", "representative")
 
 
-def _coset_row(task: tuple[int, str]) -> tuple:
-    q, eta_text = task
-    eta = Eta.parse(eta_text)
+def _coset_row(task: tuple[int, Eta]) -> tuple:
+    q, eta = task
     rep = coset.coset_scan_report(q, eta)
     d = rep.details
     return (
@@ -327,7 +327,8 @@ def _coset_row(task: tuple[int, str]) -> tuple:
 
 def cmd_coset_scan(args) -> int:
     """Where do the primes below eta*q sit inside a proper coset?"""
-    tasks = [(q, args.eta) for q in _q_list(args)]
+    eta = Eta.parse(args.eta)
+    tasks = [(q, eta) for q in _q_list(args)]
     rows = _pmap(_coset_row, tasks, args.jobs)
     rows.sort(key=lambda r: r[0])
     _emit_rows(args, COSET_COLUMNS, rows)

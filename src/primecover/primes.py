@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .modular import character_table, isqrt_floor
+from .modular import isqrt_floor, modulus_value
 from .residues import ResidueSet, from_positions
 
 
@@ -135,7 +135,7 @@ def prime_residues(q: int, eta: Eta | float | Fraction | int | str = 1) -> Resid
     Primes below q need no reduction, so there are no collisions; an empty
     result (eta*q < 3) is valid.
     """
-    qv = character_table(q).q
+    qv = modulus_value(q)
     e = Eta.coerce(eta)
     top = min(e.largest_admitted(qv), qv - 1)
     if top < 2:

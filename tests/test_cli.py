@@ -7,7 +7,7 @@ import time
 import pytest
 
 import primecover
-from primecover import modular
+from primecover import cli, modular
 from primecover.cli import main
 
 
@@ -232,6 +232,15 @@ def test_one_primality_test_per_modulus(argv, q_lo, q_hi, monkeypatch, capsys):
     capsys.readouterr()
     assert len(calls) == len(set(calls))
     assert set(calls) <= set(modular.primes_in_range(q_lo, q_hi))
+
+
+@pytest.mark.parametrize("cmd", ["erdos-scan", "coset-scan"])
+def test_bad_eta_rejected_before_rows_start(cmd, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_pmap", lambda *args: pytest.fail("rows started"))
+    argv = [cmd, "--q-min", "3", "--q-max", "50", "--eta", "banana", "--jobs", "2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_commands_import_neither_scipy_nor_a_process_pool():

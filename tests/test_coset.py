@@ -1,11 +1,15 @@
 import cmath
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primecover.coset import (
+    _leading_members,
     _rgamma,
     character_constant_on,
     character_prefix_max,
@@ -17,7 +21,7 @@ from primecover.coset import (
     obstruction_tension_report,
     omega_power_sum,
 )
-from primecover.modular import character_table, primes_in_range
+from primecover.modular import CharacterTable, character_table, divisors, primes_in_range
 from primecover.primes import prime_residues
 from primecover.residues import ResidueSet
 
@@ -54,6 +58,75 @@ def test_obstruction_gcd_vs_brute_random():
             assert (a is None) == (b is None)
             if a is not None:
                 assert a.subgroup.index == b.subgroup.index
+
+
+def _quadratic_split(q):
+    """Quadratic residues below q/2 and non-residues above it."""
+    half = (q - 1) // 2
+    qr = [x for x in range(1, q // 2) if pow(x, half, q) == 1]
+    nr = [x for x in range(q // 2 + 1, q) if pow(x, half, q) == q - 1]
+    return qr, nr
+
+
+_SPLITS = {q: _quadratic_split(q) for q in (2039, 10007)}  # q - 1 = 2 * prime
+
+
+@st.composite
+def _certificate_cases(draw):
+    """(kind, set) for each exit of the power-residue certificate in _dlog_gcd."""
+    kind = draw(st.sampled_from(("random", "trapped", "unrefuted")))
+    if kind == "unrefuted":
+        # the first nine members are quadratic residues, a later one is not,
+        # so the certificate leaves l = 2 open and the table must answer
+        q = draw(st.sampled_from(sorted(_SPLITS)))
+        qr, nr = _SPLITS[q]
+        els = draw(st.lists(st.sampled_from(qr), min_size=9, max_size=30, unique=True))
+        els += draw(st.lists(st.sampled_from(nr), min_size=1, max_size=5, unique=True))
+        return kind, ResidueSet.from_elements(q, els)
+    q = draw(st.sampled_from((3, 5, 2039, 10007)))
+    ys = draw(st.lists(st.integers(1, q - 1), min_size=1, max_size=30))
+    if kind == "random":
+        return kind, ResidueSet.from_elements(q, ys)
+    # r * (d-th powers): inside a coset of the index-d subgroup; d = q-1 is a singleton
+    d = draw(st.sampled_from([m for m in divisors(q - 1) if m > 1]))
+    r = draw(st.integers(1, q - 1))
+    return kind, ResidueSet.from_elements(q, [r * pow(y, d, q) % q for y in ys])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_certificate_cases())
+def test_certificate_vs_brute(case):
+    kind, s = case
+    fast, brute = coset_obstruction(s), coset_obstruction_brute(s)
+    assert (fast is None) == (brute is None) == (not is_coset_trapped(s))
+    if fast is not None:
+        assert fast.subgroup.index == brute.subgroup.index
+        assert s.is_subset(fast.coset())
+    if kind == "unrefuted":
+        assert fast is None
+    if kind == "trapped":
+        assert fast is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.integers(1, 999982), max_size=40), st.integers(1, 12))
+def test_leading_members_is_a_prefix_of_elements(els, count):
+    s = ResidueSet.from_elements(999983, els)
+    assert _leading_members(s.bits, count) == s.elements()[:count]
+
+
+def test_certificate_builds_a_table_only_when_it_fails():
+    qr, nr = _SPLITS[10007]
+    unrefuted = ResidueSet.from_elements(10007, qr[:9] + nr[:1])
+    character_table.cache_clear()
+    with mock.patch.object(
+        CharacterTable, "__init__", autospec=True, side_effect=CharacterTable.__init__
+    ) as init:
+        assert coset_scan_report(10007).details["obstructed"] is False
+        assert coset_scan_report(999983).details["obstructed"] is False
+        assert init.call_count == 0
+        assert coset_obstruction(unrefuted) is None
+        assert init.call_count == 1
 
 
 def test_character_constant_examples():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primecover.coset import coset_scan_report
+from primecover.coset import coset_obstruction, coset_scan_report, is_coset_trapped
 from primecover.fourier import (
     additive_transform,
     kloosterman,
@@ -291,6 +291,10 @@ _RAW_Q_ENTRIES = {
 }
 _RAW_Q_ENTRIES.update(
     subgroup_of_index=lambda q: subgroup_of_index(q, 1),
+    # {1, 2}, not the singleton {1}: the power-residue certificate would refute
+    # it at q = 4, 15 and 1000003 with no table, so the modulus check must run first
+    is_coset_trapped=lambda q: is_coset_trapped(ResidueSet(q, 0b110)),
+    coset_obstruction=lambda q: coset_obstruction(ResidueSet(q, 0b110)),
     mod_inverse=lambda q: mod_inverse(2, q),
     order_of=lambda q: order_of(2, q),
     kloosterman=lambda q: kloosterman(1, 1, q),
