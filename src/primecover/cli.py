@@ -89,8 +89,11 @@ def _pmap(fn, items, jobs: int):
         return [fn(it) for it in items]
     from concurrent.futures import ProcessPoolExecutor  # deferred: ~20 ms of imports
 
+    # the q-sorted items dealt round-robin spread the dearest rows over the chunks; callers sort
+    chunks = 4 * jobs
+    dealt = [it for j in range(chunks) for it in items[j::chunks]]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs))))
+        return list(pool.map(fn, dealt, chunksize=-(-len(items) // chunks)))
 
 
 # ---------------------------------------------------------------------------

@@ -39,25 +39,17 @@ from .modular import (
 )
 from .primes import Eta, factor_sieve, prime_residues, primes_below
 from .reports import FAIL, PASS, RECORDED, AuditReport
-from .residues import ResidueSet, from_positions, positions
+from .residues import ResidueSet, from_positions, leading_positions, positions
 
 EULER_PRODUCT_PRIME_LIMIT = 10**6
 EULER_PRODUCT_TAIL_BOUND = 2e-6  # remainder of sum_p O(1/p^2) beyond the limit
 _CERTIFICATE_MEMBERS = 9  # x0 + 8: P_1 at q <= 20000 needs the table at 8 of 2,261 primes
 
 
-def _leading_members(bits: int, count: int) -> list[int]:
-    """The `count` least members of a mask, decoding only a low window of it."""
-    width = 64
-    while (head := bits & ((1 << width) - 1)).bit_count() < count and head != bits:
-        width *= 8
-    return positions(head, head.bit_length())[:count].tolist()
-
-
 def _dlog_gcd(p: ResidueSet) -> int:
     """gcd(q-1, pairwise dlog differences); > 1 iff trapped in a proper coset."""
     q = modulus_value(p.q)
-    x0, *rest = _leading_members(p.bits, _CERTIFICATE_MEMBERS)
+    x0, *rest = leading_positions(p.bits, _CERTIFICATE_MEMBERS)
     inv0 = pow(x0, -1, q)
     open_exps = [(q - 1) // ell for ell in factorize(q - 1)]
     for x in rest:

@@ -121,9 +121,10 @@ class CharacterTable:
         self.g = next(
             g for g in range(2, qv) if all(pow(g, (qv - 1) // p, qv) != 1 for p in order_factors)
         )
-        # doubling: pow_g[m:2m] = pow_g[:m] * g^m, log2(q) vectorized steps; the
-        # products stay below q^2 < 2^63 at desk scale
-        self.pow_g = np.ones(qv - 1, dtype=np.int64)
+        # doubling: pow_g[m:2m] = pow_g[:m] * g^m, log2(q) vectorized steps, writes
+        # every entry after pow_g[0]; the products stay below q^2 < 2^63 at desk scale
+        self.pow_g = np.empty(qv - 1, dtype=np.int64)
+        self.pow_g[0] = 1
         m = 1
         while m < self.order:
             head = self.pow_g[m : 2 * m]

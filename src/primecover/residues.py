@@ -6,11 +6,11 @@ int bit operations; cardinality is a popcount.  Bit 0 is never set -- all
 the arithmetic in this package is multiplicative.
 
 `unpack` and `pack` are the one codec between a mask and its array of 0/1
-flags, and `positions` / `from_positions` build on them for the ascending
-array of set-bit indices: every conversion in the package goes through them,
-and only the brute-force oracles still set bits one at a time.  The
-product engine's residue <-> discrete-log codec (`CharacterTable.to_dlog`,
-`member_logs`, `from_dlog`) permutes their flags.
+flags; `positions` / `from_positions` (`leading_positions` for the least few)
+build on them for the ascending set-bit indices: every conversion in the
+package goes through them, and only the brute-force oracles still set bits
+one at a time.  The product engine's residue <-> discrete-log codec
+(`CharacterTable.to_dlog`, `member_logs`, `from_dlog`) permutes their flags.
 """
 
 from __future__ import annotations
@@ -35,6 +35,14 @@ def pack(flags: np.ndarray) -> int:
 def positions(bits: int, length: int) -> np.ndarray:
     """Ascending int64 indices of the set bits of a mask below 2**length."""
     return unpack(bits, length).nonzero()[0].astype(np.int64, copy=False)
+
+
+def leading_positions(bits: int, count: int) -> list[int]:
+    """The `count` least set-bit indices of a mask, ascending, decoding only a low window of it."""
+    width = 64
+    while (head := bits & ((1 << width) - 1)).bit_count() < count and head != bits:
+        width *= 4
+    return positions(head, head.bit_length())[:count].tolist()
 
 
 def from_positions(idx, length: int) -> int:

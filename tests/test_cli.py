@@ -180,6 +180,10 @@ def test_jobs_byte_identical(tmp_path):
     _, a = run_cli(tmp_path, "j1.csv", *args, "--jobs", "1")
     _, b = run_cli(tmp_path, "j8.csv", *args, "--jobs", "8")
     assert a == b
+    args = ["coset-scan", "--q-min", "3", "--q-max", "2000"]
+    _, a = run_cli(tmp_path, "c1.csv", *args, "--jobs", "1")
+    _, b = run_cli(tmp_path, "c2.csv", *args, "--jobs", "2")
+    assert a == b and a.count("\n") == 1 + 302  # a header and a row per odd prime to 2000
 
 
 def test_internal_error_exits_three(monkeypatch, capsys):

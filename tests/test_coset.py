@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primecover.coset import (
-    _leading_members,
     _rgamma,
     character_constant_on,
     character_prefix_max,
@@ -23,7 +22,7 @@ from primecover.coset import (
 )
 from primecover.modular import CharacterTable, character_table, divisors, primes_in_range
 from primecover.primes import prime_residues
-from primecover.residues import ResidueSet
+from primecover.residues import ResidueSet, leading_positions
 
 
 def test_obstruction_worked_example_q5():
@@ -112,7 +111,7 @@ def test_certificate_vs_brute(case):
 @given(st.sets(st.integers(1, 999982), max_size=40), st.integers(1, 12))
 def test_leading_members_is_a_prefix_of_elements(els, count):
     s = ResidueSet.from_elements(999983, els)
-    assert _leading_members(s.bits, count) == s.elements()[:count]
+    assert leading_positions(s.bits, count) == s.elements()[:count]
 
 
 def test_certificate_builds_a_table_only_when_it_fails():

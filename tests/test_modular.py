@@ -143,7 +143,7 @@ def test_dlog_bijection_exhaustive():
         assert all(pow(t.g, int(t.dlog[a]), q) == a for a in range(1, q))
 
 
-@pytest.mark.parametrize("q", (3, 5, 101, 2039))
+@pytest.mark.parametrize("q", (3, 5, 7, 17, 101, 257, 2039))
 def test_doubling_power_table_exhaustive(q):
     t = CharacterTable(q)
     assert t.pow_g.tolist() == [pow(t.g, k, q) for k in range(q - 1)]
@@ -157,6 +157,7 @@ def test_doubling_power_table_at_ceiling():
     ks = np.random.default_rng(7).integers(0, q - 1, 1000).tolist() + [0, q - 2]
     assert [int(t.pow_g[k]) for k in ks] == [pow(t.g, k, q) for k in ks]
     assert sorted(t.pow_g[:: (q - 1) // 2].tolist()) == [1, q - 1]
+    assert np.array_equal(np.sort(t.pow_g), np.arange(1, q))  # a permutation of the units
 
 
 @functools.cache

@@ -96,19 +96,20 @@ def _full_rotation(e1, e2, n):
 
 @contextlib.contextmanager
 def _counted_paths():
-    """Count the rotations and FFT-sumset calls made inside the block."""
+    """Count the rotations, big-int or byte-sliced, and FFT-sumset calls made inside the block."""
     with (
         mock.patch.object(products, "_rotl", wraps=products._rotl) as rotl,
+        mock.patch.object(products, "_rotl_bytes", wraps=products._rotl_bytes) as sliced,
         mock.patch.object(products, "_sumset_exp_fft", wraps=products._sumset_exp_fft) as fft,
     ):
-        yield rotl, fft
+        yield lambda: rotl.call_count + sliced.call_count, fft
 
 
 def _traced_sumset(e1, e2, n):
     """_sumset_exp(e1, e2, n), its rotation count and its FFT-sumset call count."""
-    with _counted_paths() as (rotl, fft):
+    with _counted_paths() as (rotations, fft):
         out = products._sumset_exp(e1, e2, n)
-    return out, rotl.call_count, fft.call_count
+    return out, rotations(), fft.call_count
 
 
 def _random_mask(rng, n, size, step=1):
@@ -116,8 +117,10 @@ def _random_mask(rng, n, size, step=1):
     return from_positions(step * rng.choice(n // step, size, replace=False), n)
 
 
-# q - 1 = 2, 4, 2 * 1019: every operand pair below the pigeonhole size rotates in full
-@pytest.mark.parametrize("q", (3, 5, 2039))
+# q - 1 = 2, 4, 16, 2 * 1019: every operand pair below the pigeonhole size rotates in full;
+# each case runs on both rotation paths; at q = 3, 5 the byte path's tail byte is its only byte,
+# and at q = 17 its last byte is full
+@pytest.mark.parametrize("q", (3, 5, 17, 2039))
 @settings(deadline=None, max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1), da=st.floats(0, 1), db=st.floats(0, 1), square=st.booleans())
 def test_sumset_full_rotation_vs_oracle(q, seed, da, db, square):
@@ -128,13 +131,15 @@ def test_sumset_full_rotation_vs_oracle(q, seed, da, db, square):
     b = a if square else ResidueSet.from_elements(q, units[rng.random(n) < db].tolist())
     table = character_table(q)
     ea, eb = table.to_dlog(a), table.to_dlog(b)
-    out, rotations, fft = _traced_sumset(ea, eb, n)
-    assert fft == 0
-    assert out == _full_rotation(ea, eb, n)
-    if len(a) + len(b) > n:  # pigeonhole exit
-        assert rotations == 0 and out == (1 << n) - 1
-    else:
-        assert rotations <= min(len(a), len(b)) <= products._FFT_ROTATIONS
+    for byte_slice_bits in (products._BYTE_SLICE_BITS, 0):
+        with mock.patch.object(products, "_BYTE_SLICE_BITS", byte_slice_bits):
+            out, rotations, fft = _traced_sumset(ea, eb, n)
+        assert fft == 0
+        assert out == _full_rotation(ea, eb, n)
+        if len(a) + len(b) > n:  # pigeonhole exit
+            assert rotations == 0 and out == (1 << n) - 1
+        else:
+            assert rotations <= min(len(a), len(b)) <= products._FFT_ROTATIONS
     if q < 7:
         assert product_set(a, b) == product_set_naive(a, b)
 
@@ -200,12 +205,41 @@ def test_prime_pair_products_near_ceiling_rotate():
     # P_1 * P_1 at q = 999983 fills the group in ~200 rotations, without the FFT
     q = 999983
     p = prime_residues(q)
-    with _counted_paths() as (rotl, fft):
+    with _counted_paths() as (rotations, fft):
         pp = product_set(p, p)
-    assert fft.call_count == 0 and 0 < rotl.call_count < products._FFT_ROTATIONS
+    assert fft.call_count == 0 and 0 < rotations() < products._FFT_ROTATIONS
     table = character_table(q)
     e = table.to_dlog(p)
     assert pp == table.from_dlog(products._sumset_exp_fft(e, e, q - 1))
+
+
+# q - 1 = 2 * 16421, 4 * 8233, 2 * 499991 (n = 2, 4, 6 mod 8), all on the byte path: P_1 fills
+# within the probe, P_1/10 squared rotates in full without filling (an FFT at q = 999983), and
+# index-2-subgroup operands make the probe give up half way and fall back to the FFT
+@pytest.mark.parametrize("q", (32843, 32933, 999983))
+@pytest.mark.parametrize("kind", ("P_1", "P_1/10", "index-2"))
+def test_byte_sliced_sumset_vs_oracles(q, kind):
+    n = q - 1
+    assert n >= products._BYTE_SLICE_BITS
+    table = character_table(q)
+    rng = np.random.default_rng(q)
+    if kind == "index-2":
+        size = 3000 if q < 10**5 else 40000
+        ea, eb = _random_mask(rng, n, size, step=2), _random_mask(rng, n, size, step=2)
+    elif kind == "P_1":
+        ea = table.to_dlog(prime_residues(q))
+        eb = _random_mask(rng, n, ea.bit_count())
+    else:
+        ea, eb = table.to_dlog(prime_residues(q, "1/10")), table.to_dlog(prime_residues(q))
+    for e1, e2 in ((ea, ea), (ea, eb)):
+        out, rotations, fft = _traced_sumset(e1, e2, n)
+        assert out == products._sumset_exp_fft(e1, e2, n)
+        if q < 10**5:
+            assert out == _full_rotation(e1, e2, n)
+        if kind == "index-2":
+            assert (rotations, fft) == (n.bit_length() * n // size, 1)
+        else:
+            assert (rotations > 0) != (fft > 0)
 
 
 def test_fast_len_vs_scipy_exhaustive():
