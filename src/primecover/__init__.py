@@ -6,141 +6,3 @@ multiplicative Fourier machinery with Kloosterman-sum bound checks, and
 coset-obstruction detection -- every stated bound paired with a brute-force
 oracle at small scale.
 """
-
-from .coset import (
-    CosetWitness,
-    OmegaSumReport,
-    character_constant_on,
-    character_prefix_max,
-    coset_obstruction,
-    coset_obstruction_brute,
-    coset_scan_report,
-    is_coset_trapped,
-    obstruction_tension_report,
-    omega_power_sum,
-)
-from .fourier import (
-    SolutionCountReport,
-    SpectrumAdditive,
-    SpectrumMultiplicative,
-    additive_transform,
-    kloosterman,
-    l1_spectrum_norm,
-    linear_exponential_bound,
-    linear_exponential_sum,
-    mult_convolve,
-    mult_transform,
-    solution_count_fourier,
-    sup_nontrivial_mult_coeff,
-    weil_audit,
-)
-from .modular import (
-    CharacterTable,
-    Subgroup,
-    character_table,
-    is_prime,
-    mod_inverse,
-    primitive_root,
-    subgroup_of_index,
-    subgroups,
-)
-from .primes import (
-    Eta,
-    FactorSieve,
-    PrimeList,
-    big_omega,
-    factor_sieve,
-    nu,
-    prime_residues,
-    primes_below,
-    rough_indicator,
-)
-from .products import (
-    ExpansionStep,
-    ExpansionTrace,
-    FreimanVerdict,
-    density_report,
-    expansion_schedule,
-    freiman_dichotomy,
-    iterated_product,
-    multiplicative_energy,
-    product_set,
-    quotient_set,
-    ruzsa_growth_check,
-    solution_count,
-)
-from .reports import AuditReport
-from .residues import ResidueSet
-from .sieves import (
-    SieveParams,
-    SieveWeights,
-    audit_weights,
-    dirac_weights,
-    linear_lower,
-    selberg_upper,
-    weight_sum,
-)
-
-__all__ = [
-    "AuditReport",
-    "CharacterTable",
-    "CosetWitness",
-    "Eta",
-    "ExpansionStep",
-    "ExpansionTrace",
-    "FactorSieve",
-    "FreimanVerdict",
-    "OmegaSumReport",
-    "PrimeList",
-    "ResidueSet",
-    "SieveParams",
-    "SieveWeights",
-    "SolutionCountReport",
-    "SpectrumAdditive",
-    "SpectrumMultiplicative",
-    "Subgroup",
-    "additive_transform",
-    "audit_weights",
-    "big_omega",
-    "character_constant_on",
-    "character_prefix_max",
-    "character_table",
-    "coset_obstruction",
-    "coset_obstruction_brute",
-    "coset_scan_report",
-    "density_report",
-    "dirac_weights",
-    "expansion_schedule",
-    "factor_sieve",
-    "freiman_dichotomy",
-    "is_coset_trapped",
-    "is_prime",
-    "iterated_product",
-    "kloosterman",
-    "l1_spectrum_norm",
-    "linear_exponential_bound",
-    "linear_exponential_sum",
-    "linear_lower",
-    "mod_inverse",
-    "mult_convolve",
-    "mult_transform",
-    "multiplicative_energy",
-    "nu",
-    "obstruction_tension_report",
-    "omega_power_sum",
-    "prime_residues",
-    "primes_below",
-    "primitive_root",
-    "product_set",
-    "quotient_set",
-    "rough_indicator",
-    "ruzsa_growth_check",
-    "selberg_upper",
-    "solution_count",
-    "solution_count_fourier",
-    "subgroup_of_index",
-    "subgroups",
-    "sup_nontrivial_mult_coeff",
-    "weight_sum",
-    "weil_audit",
-]

@@ -228,20 +228,15 @@ def cmd_theorem2(args) -> int:
     return _emit_reports(args, reports)
 
 
-def _min_covering_exponent(p: ResidueSet) -> int:
-    """Least k with P^(k) = units, by doubling then bisection.
+def _min_covering_exponent(p: ResidueSet, trace: products.ExpansionTrace) -> int:
+    """Least k with P^(k) = units, by bisection below the squaring trace's cover.
 
-    Valid because covering is upward-monotone in k (multiplying the full
-    group by anything keeps it full).
+    The trace's final exponent is the least power of two that covers, so P at
+    half of it does not; bisection between the two is valid because covering
+    is upward-monotone in k (multiplying the full group by anything keeps it
+    full).
     """
-    q = p.q
-    hi = 1
-    cap = math.ceil(math.log2(q)) + 6
-    while not products.iterated_product(p, hi).covers_units:
-        hi *= 2
-        if hi > 1 << cap:
-            raise RuntimeError("no covering exponent found; set must be trapped")
-    lo = hi // 2  # P^(lo) known not to cover (or lo = 0)
+    lo, hi = trace.final_exponent // 2, trace.final_exponent
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if products.iterated_product(p, mid).covers_units:
@@ -272,8 +267,8 @@ def cmd_theorem3(args) -> int:
             },
         )
         return _emit_reports(args, [rep])
-    k_min = _min_covering_exponent(p)
     trace = products.expansion_schedule(p)
+    k_min = _min_covering_exponent(p, trace)
     details = {
         "obstructed": False,
         "prime_count": len(p),

@@ -8,16 +8,14 @@ for every member x, and a few members usually refute each prime l | q-1, which
 proves d = 1 with no CharacterTable.  A brute-force coset sweep is the oracle.
 
 Containment in a coset is the same thing as some non-principal character
-being constant on P.  Two quantitative audits surround that statement: the
-prefix maxima of character sums (Polya-Vinogradov hard bound, Burgess shape
-recorded), and the partial sums of z^Omega(n), whose main term
+being constant on P.  A character constant (= z) on the primes below x agrees
+with z^Omega(n) on all of [1, x], so the partial sums of z^Omega(n) here, whose
+main term
 
     x * (log x)^(z-1) * ( prod_p (1-z/p)^-1 (1-1/p)^z ) / Gamma(z)
 
-stays bounded away from zero for |z| = 1, Re(z) >= -1/2.  A character
-constant (= z) on the primes below x agrees with z^Omega(n) on all of [1, x],
-so the two audits pull in opposite directions; the tension report evaluates
-both at finite x.
+stays bounded away from zero for |z| = 1, Re(z) >= -1/2, pull against the
+Polya-Vinogradov bound on prefix character sums, which `audit pv` checks.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from .modular import (
     subgroup_of_index,
 )
 from .primes import Eta, factor_sieve, prime_residues, primes_below
-from .reports import FAIL, PASS, RECORDED, AuditReport
+from .reports import RECORDED, AuditReport
 from .residues import ResidueSet, from_positions, leading_positions, positions
 
 EULER_PRODUCT_PRIME_LIMIT = 10**6
@@ -127,39 +125,6 @@ def character_constant_on(p: ResidueSet, table: CharacterTable, j: int, tol: flo
         raise ValueError(f"character index {j} outside [0, {table.order - 1}]")
     vals = table.roots[(j * table.member_logs(p)) % table.order]
     return bool(np.abs(vals - vals[0]).max() <= tol)
-
-
-def character_prefix_max(table: CharacterTable, j: int) -> AuditReport:
-    """M = max_{x<q} |sum_{n<=x} chi_j(n)| vs the sqrt(q)*log(q) prefix bound.
-
-    The prefix bound is a hard assertion; the Burgess-shaped ceilings at
-    r = 2, 3 are recorded ratios with no asserted constant.
-    """
-    if j % table.order == 0:
-        raise ValueError("prefix maxima are for non-principal characters")
-    q = table.q
-    prefix = np.cumsum(table.character_values(j)[1:])
-    mags = np.abs(prefix)
-    m = float(mags.max())
-    arg = int(mags.argmax()) + 1
-    bound = math.sqrt(q) * math.log(q)
-    burgess = {}
-    xs = np.arange(1, q, dtype=float)
-    for r in (2, 3):
-        shape = xs ** (1 - 1 / r) * q ** ((r + 1) / (4 * r * r)) * math.log(q) ** (1 / r)
-        burgess[f"r{r}_max_ratio"] = float((mags / shape).max())
-    ok = m <= bound + 1e-6
-    return AuditReport(
-        name="character.prefix-max",
-        params={"q": q, "j": j},
-        computed=m,
-        bound=bound,
-        ratio=m / bound,
-        verdict=PASS if ok else FAIL,
-        tolerance=1e-6,
-        witness=None if ok else arg,
-        details={"argmax_x": arg, **burgess},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -286,111 +251,3 @@ def coset_scan_report(q: int, eta: Eta | float | str = 1) -> AuditReport:
         witness=(witness.subgroup.index, witness.representative) if witness else None,
         details=details,
     )
-
-
-def obstruction_tension_report(q: int, eta: Eta | float | str = 1) -> AuditReport:
-    """When P_eta is trapped, weigh both sides of the contradiction machinery.
-
-    A trapping character chi is constant (= z) on the primes below eta*q, so
-    sum_{n<=x} chi(n) = sum_{n<=x} z^Omega(n) exactly at x = floor(eta*q);
-    the report compares that common value against the Burgess-shaped ceiling
-    (which squeezes it down) and the non-cancellation floor (which props it
-    up), for the best admissible power of chi (Re(z^k) >= -1/2, k coprime to
-    the order).  Asymptotically the two cannot coexist; at desk scale we
-    record where each side stands and the q-scale where the shapes cross.
-    """
-    e = Eta.coerce(eta)
-    p = prime_residues(q, e)
-    qv = p.q
-    if not p:
-        raise ValueError("P_eta is empty; nothing to audit")
-    witness = coset_obstruction(p)
-    params = {"q": qv, "eta": e.label()}
-    if witness is None:
-        return AuditReport(
-            name="coset.obstruction-tension",
-            params=params,
-            verdict=RECORDED,
-            details={"obstructed": False},
-        )
-
-    table = character_table(qv)
-    d = witness.subgroup.index
-    j0 = table.order // d  # chi_{j0} generates the characters constant on P
-    x = min(e.largest_admitted(qv), qv - 1)
-    t0 = int(table.dlog[p.first()])
-
-    best = None
-    for k in range(1, d):
-        if math.gcd(k, d) != 1:
-            continue
-        zval = complex(table.roots[(j0 * k * t0) % table.order])
-        if zval.real < -0.5 - 1e-12:
-            continue
-        chi_sum = complex(table.character_values(j0 * k)[1 : x + 1].sum())
-        if x >= 100 and abs(zval + 1) > 1e-9:
-            rep = omega_power_sum(zval, x)
-            strength = rep.noncancel_ratio
-            lhs_abs = abs(rep.lhs)
-            # chi^k agrees with z^Omega on all of [1, x]: hard sanity identity
-            gap = abs(rep.lhs - chi_sum) / max(1.0, abs(rep.lhs))
-            if gap > 1e-6:
-                raise AssertionError("trapped character disagrees with z^Omega; bug")
-        else:
-            lhs_abs = abs(chi_sum)
-            strength = lhs_abs * math.log(max(x, 3)) ** 1.5 / max(x, 1)
-        if best is None or strength > best["noncancel_ratio"]:
-            best = {"power": k, "z": zval, "lhs_abs": lhs_abs, "noncancel_ratio": strength}
-
-    details: dict = {
-        "obstructed": True,
-        "subgroup_index": d,
-        "x": x,
-    }
-    if best is None:
-        details["note"] = "no admissible power keeps Re(z) >= -1/2 (quadratic-type trap)"
-        return AuditReport(
-            name="coset.obstruction-tension", params=params, verdict=RECORDED, details=details
-        )
-
-    logq = math.log(qv)
-    burgess = min(
-        x ** (1 - 1 / r) * qv ** ((r + 1) / (4 * r * r)) * logq ** (1 / r) for r in (2, 3, 4)
-    )
-    details.update(
-        {
-            "best_power": best["power"],
-            "z": best["z"],
-            "common_sum_abs": best["lhs_abs"],
-            "burgess_ceiling": burgess,
-            "noncancel_ratio": best["noncancel_ratio"],
-            "crossover_q": _crossover_scale(e, best["noncancel_ratio"]),
-        }
-    )
-    return AuditReport(
-        name="coset.obstruction-tension",
-        params=params,
-        computed=best["lhs_abs"],
-        bound=burgess,
-        ratio=best["lhs_abs"] / burgess if burgess else None,
-        verdict=RECORDED,
-        details=details,
-    )
-
-
-def _crossover_scale(e: Eta, noncancel_const: float) -> float | None:
-    """Smallest q (log-grid) where the non-cancellation floor beats Burgess."""
-    c = max(noncancel_const, 1e-6)
-    for lg in range(2, 120):
-        qq = 10.0**lg
-        x = e.value_at(int(min(qq, 1e18)) | 1) * qq
-        if x < 10:
-            continue
-        floor_side = c * x / math.log(x) ** 1.5
-        ceil_side = min(
-            x ** (1 - 1 / r) * qq ** ((r + 1) / (4 * r * r)) * math.log(qq) ** (1 / r)
-            for r in (2, 3, 4, 6, 8)
-        )
-        if floor_side > ceil_side:
-            return qq
-    return None

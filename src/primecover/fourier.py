@@ -68,28 +68,6 @@ def additive_transform_naive(f: np.ndarray, q: int) -> SpectrumAdditive:
     return SpectrumAdditive(qv, out)
 
 
-def distance_to_int(t: float) -> float:
-    """||t||: distance from t to the nearest integer."""
-    return abs(t - round(t))
-
-
-def linear_exponential_sum(a: int, q: int, length: int) -> complex:
-    """sum_{y=1}^{Y} e(-a*y/q) in closed form (geometric sum)."""
-    qv = modulus_value(q)
-    if a % qv == 0:
-        raise ValueError("frequency a must be nonzero mod q")
-    if not 1 <= length <= qv:
-        raise ValueError(f"Y must lie in [1, {qv}]")
-    w = np.exp(-2j * np.pi * (a % qv) / qv)
-    return complex(w * (w**length - 1) / (w - 1))
-
-
-def linear_exponential_bound(a: int, q: int, length: int) -> float:
-    """min(Y, 1/(2*||a/q||)), the standard geometric-sum estimate."""
-    qv = modulus_value(q)
-    return min(float(length), 1.0 / (2.0 * distance_to_int((a % qv) / qv)))
-
-
 def mult_transform(f: np.ndarray, table) -> SpectrumMultiplicative:
     """f^(chi_j) for all j at once: FFT of f reindexed by discrete logs."""
     q = table.q

@@ -184,15 +184,10 @@ class CharacterTable:
         return out
 
 
-@functools.lru_cache(maxsize=2)  # scans use each table once; audit suites revisit few
+@functools.lru_cache(maxsize=1)  # scans use each table once; a miss holds 2 tables, not 3
 def character_table(q: int) -> CharacterTable:
     """Shared per-modulus CharacterTable (tables are immutable)."""
     return CharacterTable(q)
-
-
-def primitive_root(q: int) -> int:
-    """Least primitive root of the prime q."""
-    return character_table(q).g
 
 
 @dataclass(frozen=True)
@@ -217,15 +212,6 @@ def subgroup_of_index(q: int, m: int) -> Subgroup:
     return Subgroup(table.q, m, members)
 
 
-def subgroups(q: int) -> list[Subgroup]:
-    """One Subgroup per divisor of q-1, ascending by index.
-
-    Index 1 is the full group; index q-1 is the trivial subgroup {1}.
-    """
-    table = character_table(q)
-    return [subgroup_of_index(table.q, m) for m in divisors(table.order)]
-
-
 def inverse_table(q: int) -> np.ndarray:
     """inv[a] = a^(-1) mod q for a in [1, q-1]; inv[0] = 0.
 
@@ -236,17 +222,6 @@ def inverse_table(q: int) -> np.ndarray:
     inv = np.zeros(table.q, dtype=np.int64)
     inv[table.pow_g] = table.pow_g[(-np.arange(n)) % n]
     return inv
-
-
-def order_of(a: int, q: int) -> int:
-    """Multiplicative order of a mod q, by checking divisors of q-1."""
-    qv = modulus_value(q)
-    if a % qv == 0:
-        raise ValueError("0 has no multiplicative order")
-    for d in divisors(qv - 1):
-        if pow(a, d, qv) == 1:
-            return d
-    raise AssertionError("order must divide q-1")
 
 
 def isqrt_floor(n: int, k: int) -> int:

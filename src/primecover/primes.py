@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .modular import isqrt_floor, modulus_value
+from .modular import MAX_MODULUS, isqrt_floor, modulus_value
 from .residues import ResidueSet, from_positions
 
 
@@ -38,18 +38,23 @@ _prime_cache: PrimeList | None = None
 
 
 def primes_below(x: int) -> PrimeList:
-    """Exactly the primes p <= x (boolean Eratosthenes sieve, cached)."""
+    """Exactly the primes p <= x (boolean Eratosthenes sieve, cached).
+
+    A miss sieves to at least twice the cached limit, capped at MAX_MODULUS,
+    so an ascending scan re-sieves O(log) times rather than once per row.
+    """
     global _prime_cache
     if x < 2:
         raise ValueError("primes_below expects x >= 2")
     with _sieve_lock:
         if _prime_cache is None or _prime_cache.limit < x:
-            mask = np.ones(x + 1, dtype=bool)
+            top = x if _prime_cache is None else max(x, min(2 * _prime_cache.limit, MAX_MODULUS))
+            mask = np.ones(top + 1, dtype=bool)
             mask[:2] = False
-            for p in range(2, isqrt_floor(x, 2) + 1):
+            for p in range(2, isqrt_floor(top, 2) + 1):
                 if mask[p]:
                     mask[p * p :: p] = False
-            _prime_cache = PrimeList(x, np.flatnonzero(mask).astype(np.int64))
+            _prime_cache = PrimeList(top, np.flatnonzero(mask).astype(np.int64))
         cache = _prime_cache
     if cache.limit == x:
         return cache
@@ -238,23 +243,3 @@ def factor_sieve(limit: int) -> FactorSieve:
         if _factor_cache is None or _factor_cache.limit < limit:
             _factor_cache = FactorSieve(limit)
         return _factor_cache
-
-
-def big_omega(n: int, limit: int | None = None) -> int:
-    """Omega(n): prime factors counted with multiplicity."""
-    if n < 1:
-        raise ValueError("big_omega expects n >= 1")
-    return factor_sieve(max(limit or 0, n, 2)).big_omega(n)
-
-
-def nu(n: int, limit: int | None = None) -> int:
-    """nu(n): distinct prime factors."""
-    if n < 1:
-        raise ValueError("nu expects n >= 1")
-    return factor_sieve(max(limit or 0, n, 2)).nu(n)
-
-
-def rough_indicator(x: int, z: float) -> np.ndarray:
-    """Mask over [0, x]: True at n whose least prime factor is >= z."""
-    sieve = factor_sieve(max(x, 2))
-    return sieve.rough_mask(z)[: x + 1]

@@ -257,23 +257,6 @@ def quotient_set(a: ResidueSet) -> ResidueSet:
     return product_set(a, invert_set(a))
 
 
-def solution_count(p: ResidueSet, a: int) -> int:
-    """#{(p1, p2) in P x P : p1 * p2 = a mod q}, ordered pairs."""
-    q = p.q
-    a = a % q
-    if a == 0:
-        raise ValueError("a must be a unit")
-    if not p:
-        return 0
-    table = character_table(q)
-    n = q - 1
-    logs = table.member_logs(p)
-    # p1 * p2 = a  <=>  dlog p2 = dlog a - dlog p1 (mod q-1)
-    log_a = table.member_logs(ResidueSet(q, 1 << a))[0]
-    target = from_positions((log_a - logs) % n, n)
-    return (from_positions(logs, n) & target).bit_count()
-
-
 def solution_count_naive(p: ResidueSet, a: int) -> int:
     q = p.q
     a = a % q
@@ -296,14 +279,6 @@ def solution_counts_all(p: ResidueSet) -> np.ndarray:
     out = np.zeros(q, dtype=np.int64)
     out[table.pow_g] = _cyclic_counts(ind, ind, len(p) ** 2)
     return out
-
-
-def multiplicative_energy(p: ResidueSet) -> int:
-    """#{(p1,p2,p3,p4) : p1 p2 = p3 p4 mod q} = sum_a count(a)^2."""
-    if not p:
-        return 0
-    counts = solution_counts_all(p)
-    return int((counts.astype(object) ** 2).sum())
 
 
 @dataclass(frozen=True)
@@ -386,7 +361,7 @@ class ExpansionTrace:
     q: int
     steps: tuple[ExpansionStep, ...]
     final_exponent: int
-    theoretical_exponent: int
+    theoretical_exponent = 8  # a class constant: the density >= 1/4 schedule's exponent
 
     @property
     def sizes(self) -> list[int]:
@@ -403,20 +378,17 @@ def _certified_rule(size_before: int, size_after: int, g: int) -> str:
     raise AssertionError("squaring step certified no growth rule; impossible for untrapped sets")
 
 
-def expansion_schedule(a: ResidueSet, exponent_per_step: int = 1) -> ExpansionTrace:
+def expansion_schedule(a: ResidueSet) -> ExpansionTrace:
     """Square the set until it covers the group, labelling each growth step.
 
-    `exponent_per_step` says what power of the base set A already is (so the
-    cumulative exponent doubles from there).  The rule labels are descriptive
-    -- the strongest growth rule the observed sizes certify -- and never feed
-    back into control flow.  The theoretical exponent follows the
-    density >= 1/4 schedule: two 3/2-steps then one past-half squaring,
-    i.e. a factor of 8 on the starting exponent.
+    The exponent doubles from 1 with each squaring, so the final exponent is
+    the least power of two k with A^(k) the whole group.  The rule labels are
+    descriptive -- the strongest growth rule the observed sizes certify -- and
+    never feed back into control flow.  The theoretical exponent follows the
+    density >= 1/4 schedule: two 3/2-steps then one past-half squaring, i.e. 8.
     """
     if not a:
         raise ValueError("expansion needs a nonempty set")
-    if exponent_per_step < 1:
-        raise ValueError("exponent_per_step must be >= 1")
     if is_coset_trapped(a):
         raise ValueError("set is trapped in a proper coset; its powers never cover the group")
     q = a.q
@@ -424,14 +396,13 @@ def expansion_schedule(a: ResidueSet, exponent_per_step: int = 1) -> ExpansionTr
     table = character_table(q)
     n = g
     mask = (1 << n) - 1
-    theoretical = 8 * exponent_per_step
 
     e = table.to_dlog(a)
-    k = exponent_per_step
+    k = 1
     steps: list[ExpansionStep] = []
     if e == mask:
         steps.append(ExpansionStep(g, RULE_COMPLETE, g, k))
-        return ExpansionTrace(q, tuple(steps), k, theoretical)
+        return ExpansionTrace(q, tuple(steps), k)
     max_steps = math.ceil(math.log2(q)) + 4
     for _ in range(max_steps):
         before = e.bit_count()
@@ -440,7 +411,7 @@ def expansion_schedule(a: ResidueSet, exponent_per_step: int = 1) -> ExpansionTr
         after = e.bit_count()
         steps.append(ExpansionStep(before, _certified_rule(before, after, g), after, k))
         if e == mask:
-            return ExpansionTrace(q, tuple(steps), k, theoretical)
+            return ExpansionTrace(q, tuple(steps), k)
     raise RuntimeError(
         f"no cover after {max_steps} squarings (q={q}); this cannot happen for untrapped sets"
     )
@@ -475,18 +446,6 @@ def density_report(q: int, eta: Eta | float | str = 1, epsilon: float | None = N
             "epsilon": eps,
         },
     )
-
-
-def spectral_energy(p: ResidueSet) -> float:
-    """Energy via the character fourth moment (1/(q-1)) * sum_chi |1_P^(chi)|^4."""
-    from .fourier import mult_transform
-
-    q = p.q
-    table = character_table(q)
-    ind = np.zeros(q)
-    ind[positions(p.bits, q)] = 1.0
-    vals = mult_transform(ind, table).values
-    return float((np.abs(vals) ** 4).sum() / (q - 1))
 
 
 def subsets_not_coset_trapped(q: int) -> list[ResidueSet]:

@@ -70,18 +70,6 @@ class AuditReport:
             "details": _clean(self.details),
         }
 
-    def one_line(self) -> str:
-        bits = [self.name, self.verdict]
-        if self.computed is not None:
-            bits.append(f"computed={fmt_float(float(self.computed))}")
-        if self.bound is not None:
-            bits.append(f"bound={fmt_float(float(self.bound))}")
-        if self.ratio is not None:
-            bits.append(f"ratio={fmt_float(float(self.ratio))}")
-        if self.witness is not None:
-            bits.append(f"witness={self.witness}")
-        return "  ".join(bits)
-
 
 def reports_to_json(reports: list[AuditReport]) -> str:
     return json.dumps([r.as_dict() for r in reports], indent=2, sort_keys=True) + "\n"

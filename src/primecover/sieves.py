@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -212,16 +211,6 @@ def linear_lower(params: SieveParams) -> SieveWeights:
             lam[d] = float((-1) ** m)
             stack.append((i + 1, d, m))
     return SieveWeights(params, LOWER, lam, z, level)
-
-
-def dirac_weights(x: int, xi: float = 0.25) -> SieveWeights:
-    """Degenerate weights lambda = delta at d=1, i.e. w = 1 on [1, x].
-
-    Useful as the trivial smoothing: solution counts against these weights
-    reduce to raw modular-hyperbola point counts.
-    """
-    params = SieveParams(x, xi)
-    return SieveWeights(params, UPPER, {1: 1.0}, params.z, params.level_upper, rho={1: 1.0})
 
 
 def weight_sum(w: SieveWeights) -> float:
@@ -431,13 +420,3 @@ def audit_weights(w: SieveWeights) -> list[AuditReport]:
             )
         )
     return reports
-
-
-def divisor_subset_sums(lam: dict[int, float], m_primes: list[int]) -> float:
-    """sum of lambda_d over d | prod(m_primes); m must be squarefree."""
-    total = 0.0
-    k = len(m_primes)
-    for mask in range(1 << k):
-        d = reduce(lambda acc, i: acc * m_primes[i], [i for i in range(k) if mask >> i & 1], 1)
-        total += lam.get(d, 0.0)
-    return total

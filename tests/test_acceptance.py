@@ -53,7 +53,7 @@ def test_01_q5_worked_example():
 def test_02_weil_bound_exhaustive():
     t0 = time.perf_counter()
     for rep in audits.suite_weil():
-        assert rep.verdict == "pass", rep.one_line()
+        assert rep.verdict == "pass", rep
         assert rep.computed <= rep.bound + 1e-6
     elapsed = time.perf_counter() - t0
     assert elapsed < 30, f"took {elapsed:.1f} s, budget 30 s"
@@ -64,7 +64,7 @@ def test_03_freiman_dichotomy_exhaustive():
     t0 = time.perf_counter()
     reps = audits.suite_freiman()
     for rep in reps:
-        assert rep.verdict == "pass", rep.one_line()
+        assert rep.verdict == "pass", rep
     assert {r.params["q"] for r in reps} == {11, 13}
     elapsed = time.perf_counter() - t0
     assert elapsed < 60, f"took {elapsed:.1f} s, budget 60 s"
@@ -74,7 +74,7 @@ def test_03_freiman_dichotomy_exhaustive():
 def test_04_ruzsa_step_sampled():
     t0 = time.perf_counter()
     (rep,) = audits.suite_ruzsa(seed=0, q=101, samples=1000)
-    assert rep.verdict == "pass", rep.one_line()
+    assert rep.verdict == "pass", rep
     assert rep.computed == 0.0  # zero violations
     _announce(4, "ruzsa-sqrt-rule-1000-samples", t0)
 
@@ -84,7 +84,7 @@ def test_05_sieve_clause_audit():
     reps = audits.suite_sieve()
     hard = [r for r in reps if r.verdict != "recorded"]
     for rep in hard:
-        assert rep.verdict == "pass", rep.one_line()
+        assert rep.verdict == "pass", rep
     sums = [r for r in reps if r.name == "upper.weight-sum"]
     assert sums and all(r.computed / r.bound <= 2.0 for r in sums)
     positive = [r for r in reps if r.name == "lower.weight-sum-positive"]
@@ -110,7 +110,7 @@ def test_06_parseval_random_functions():
 def test_07_convolution_duality():
     t0 = time.perf_counter()
     (rep,) = audits.suite_convolution(seed=0, pairs=50)
-    assert rep.verdict == "pass", rep.one_line()
+    assert rep.verdict == "pass", rep
     assert rep.computed < 1e-6
     _announce(7, "convolution-duality-50-pairs", t0)
 
@@ -118,7 +118,7 @@ def test_07_convolution_duality():
 def test_08_solution_count_duality():
     t0 = time.perf_counter()
     (rep,) = audits.suite_solution_count(seed=0, q=1009, trials=20)
-    assert rep.verdict == "pass", rep.one_line()
+    assert rep.verdict == "pass", rep
     assert rep.computed < 1e-6
     _announce(8, "hyperbola-count-duality-q1009", t0)
 
@@ -126,7 +126,7 @@ def test_08_solution_count_duality():
 def test_09_polya_vinogradov_exhaustive():
     t0 = time.perf_counter()
     (rep,) = audits.suite_pv(q_max=499)
-    assert rep.verdict == "pass", rep.one_line()
+    assert rep.verdict == "pass", rep
     assert rep.computed <= 1.0
     _announce(9, "prefix-sums-under-sqrtq-logq-to-499", t0)
 
@@ -134,7 +134,7 @@ def test_09_polya_vinogradov_exhaustive():
 def test_10_six_fold_cover_to_2000():
     t0 = time.perf_counter()
     (rep,) = audits.suite_almost_prime(q_max=2000)
-    assert rep.verdict == "pass", rep.one_line()
+    assert rep.verdict == "pass", rep
     # regression pinned from the first oracle run
     assert rep.computed == 3.0  # worst minimal covering exponent
     assert rep.details["min_k_distribution"] == {"2": 283, "3": 19}

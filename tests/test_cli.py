@@ -3,11 +3,12 @@ import os
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
 
 import primecover
-from primecover import cli, modular
+from primecover import cli, modular, products
 from primecover.cli import main
 
 
@@ -95,6 +96,24 @@ def test_theorem3_small_exponent_q13(tmp_path):
     # brute-force oracle: P^(2) misses {5, 11}; every residue is a triple product
     assert rep["computed"] == 3.0
     assert rep["details"]["theoretical_exponent"] == 8
+
+
+def test_theorem3_squares_once(tmp_path):
+    # the squaring trace covers at P^8, so bisection tries P^6 and P^5 (3 products each)
+    # after its 3 squarings; P^1, P^2, P^4 and P^8 are not computed a second time
+    with (
+        mock.patch.object(products, "_sumset_exp", wraps=products._sumset_exp) as sumset,
+        mock.patch.object(products, "_sumset_exp_fft", wraps=products._sumset_exp_fft) as fft,
+    ):
+        code, text = run_cli(
+            tmp_path, "t3.json", "theorem3", "--q", "100003", "--eta", "q^-1/2", "--format", "json"
+        )
+    assert code == 0
+    rep = json.loads(text)[0]
+    assert rep["computed"] == 5.0
+    assert [s["k"] for s in rep["details"]["doubling_trace"]] == [2, 4, 8]
+    assert sumset.call_count == 9
+    assert fft.call_count == 3
 
 
 def test_density_command(tmp_path):

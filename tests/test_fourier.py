@@ -10,8 +10,6 @@ from primecover.fourier import (
     kloosterman,
     kloosterman_row,
     l1_spectrum_norm,
-    linear_exponential_bound,
-    linear_exponential_sum,
     mult_convolve,
     mult_convolve_naive,
     mult_transform,
@@ -24,7 +22,8 @@ from primecover.fourier import (
 )
 from primecover.modular import character_table, inverse_table
 from primecover.primes import prime_residues
-from primecover.sieves import SieveParams, SieveWeights, dirac_weights, linear_lower, selberg_upper
+from primecover.sieves import SieveParams, SieveWeights, linear_lower, selberg_upper
+from test_sieves import dirac_weights
 
 
 def _rand_fn(rng, q, real=False):
@@ -66,26 +65,6 @@ def test_additive_fast_vs_naive():
         fast = additive_transform(f, q).values
         slow = additive_transform_naive(f, q).values
         assert np.abs(fast - slow).max() < 1e-9 * max(1.0, np.abs(slow).max())
-
-
-def test_linear_exponential_sum_examples():
-    assert abs(linear_exponential_sum(1, 5, 5)) < 1e-12  # full period
-    two = cmath.exp(-2j * cmath.pi / 5) + cmath.exp(-4j * cmath.pi / 5)
-    assert linear_exponential_sum(1, 5, 2) == pytest.approx(two, abs=1e-12)
-    with pytest.raises(ValueError):
-        linear_exponential_sum(0, 5, 2)
-    with pytest.raises(ValueError):
-        linear_exponential_sum(1, 5, 6)
-
-
-def test_linear_exponential_sum_matches_direct_and_bound():
-    q = 101
-    for a in range(1, q):
-        for length in (1, 2, 17, 50, 100, 101):
-            closed = linear_exponential_sum(a, q, length)
-            direct = sum(cmath.exp(-2j * cmath.pi * a * y / q) for y in range(1, length + 1))
-            assert closed == pytest.approx(direct, abs=1e-9)
-            assert abs(closed) <= linear_exponential_bound(a, q, length) + 1e-9
 
 
 def test_mult_transform_constant():

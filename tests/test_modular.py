@@ -10,7 +10,6 @@ from primecover.fourier import (
     additive_transform,
     kloosterman,
     kloosterman_row,
-    linear_exponential_sum,
     weil_audit,
 )
 from primecover.modular import (
@@ -23,14 +22,11 @@ from primecover.modular import (
     isqrt_floor,
     mod_inverse,
     modulus_value,
-    order_of,
     primes_in_range,
-    primitive_root,
     subgroup_of_index,
-    subgroups,
 )
 from primecover.primes import prime_residues
-from primecover.products import density_report, product_set, solution_count
+from primecover.products import density_report, product_set
 from primecover.residues import ResidueSet
 
 SMALL_PRIMES = primes_in_range(3, 200)
@@ -106,19 +102,17 @@ def _order_brute(a, q):
     return k
 
 
+def _subgroups(q):
+    return [subgroup_of_index(q, m) for m in divisors(q - 1)]
+
+
 def test_primitive_root_examples():
-    assert primitive_root(5) == 2  # orders of 2 mod 5: 2,4,3,1
-    assert primitive_root(7) == 3  # 2 has order 3; 3 has order 6
-    g = primitive_root(191)
+    assert character_table(5).g == 2  # orders of 2 mod 5: 2,4,3,1
+    assert character_table(7).g == 3  # 2 has order 3; 3 has order 6
+    g = character_table(191).g
     assert _order_brute(g, 191) == 190
     for h in range(2, g):
         assert _order_brute(h, 191) < 190  # g is the least one
-
-
-def test_order_of_matches_brute():
-    for q in (11, 13, 31):
-        for a in range(1, q):
-            assert order_of(a, q) == _order_brute(a, q)
 
 
 def test_factorize_and_divisors():
@@ -198,9 +192,6 @@ def test_product_engine_never_builds_dlog():
     character_table.cache_clear()
     p = prime_residues(999983)
     assert len(product_set(p, p)) == 999982
-    members = set(p.elements())
-    expected = sum(1 for x in members if 2 * pow(x, -1, 999983) % 999983 in members)
-    assert solution_count(p, 2) == expected
     assert character_table(999983)._dlog is None
     coset_scan_report(10007)
     assert character_table(10007)._dlog is None
@@ -237,7 +228,7 @@ def test_character_unit_modulus():
 
 
 def test_subgroups_q5():
-    subs = subgroups(5)
+    subs = _subgroups(5)
     assert [s.index for s in subs] == [1, 2, 4]
     by_index = {s.index: s.elements.elements() for s in subs}
     assert by_index[2] == [1, 4]  # the squares mod 5
@@ -246,13 +237,13 @@ def test_subgroups_q5():
 
 
 def test_subgroups_q7_indices():
-    assert [s.index for s in subgroups(7)] == [1, 2, 3, 6]
+    assert [s.index for s in _subgroups(7)] == [1, 2, 3, 6]
 
 
 def test_subgroups_q13():
     # index m subgroup is {x : x^((q-1)/m) = 1}; the cube roots of 1 are the
     # ORDER-3 subgroup {1,3,9} (index 4), while the cubes {1,5,8,12} have index 3
-    by_index = {s.index: s.elements.elements() for s in subgroups(13)}
+    by_index = {s.index: s.elements.elements() for s in _subgroups(13)}
     assert by_index[3] == sorted({pow(y, 3, 13) for y in range(1, 13)}) == [1, 5, 8, 12]
     assert by_index[4] == [x for x in range(1, 13) if pow(x, 3, 13) == 1] == [1, 3, 9]
     for m, els in by_index.items():
@@ -263,7 +254,7 @@ def test_subgroups_q13():
 def test_subgroup_closure_exhaustive():
     # products of element pairs stay inside, every subgroup, every prime q <= 499
     for q in primes_in_range(3, 499):
-        for sub in subgroups(q):
+        for sub in _subgroups(q):
             els = np.array(sub.elements.elements(), dtype=np.int64)
             member = np.zeros(q, dtype=bool)
             member[els] = True
@@ -280,8 +271,6 @@ _RAW_Q_ENTRIES = {
     for f in (
         character_table,
         CharacterTable,
-        primitive_root,
-        subgroups,
         inverse_table,
         prime_residues,
         coset_scan_report,
@@ -297,10 +286,8 @@ _RAW_Q_ENTRIES.update(
     is_coset_trapped=lambda q: is_coset_trapped(ResidueSet(q, 0b110)),
     coset_obstruction=lambda q: coset_obstruction(ResidueSet(q, 0b110)),
     mod_inverse=lambda q: mod_inverse(2, q),
-    order_of=lambda q: order_of(2, q),
     kloosterman=lambda q: kloosterman(1, 1, q),
     additive_transform=lambda q: additive_transform(np.zeros(q), q),
-    linear_exponential_sum=lambda q: linear_exponential_sum(1, q, 1),
 )
 
 

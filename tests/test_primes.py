@@ -1,18 +1,11 @@
+import bisect
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from primecover.primes import (
-    Eta,
-    FactorSieve,
-    big_omega,
-    factor_sieve,
-    nu,
-    prime_residues,
-    primes_below,
-    rough_indicator,
-)
+from primecover import primes
+from primecover.primes import Eta, FactorSieve, factor_sieve, prime_residues, primes_below
 
 
 def _is_prime_trial(n):
@@ -49,6 +42,25 @@ def test_primes_below_slicing_consistency():
     small = primes_below(100)
     assert small.limit == 100
     assert [int(p) for p in small.primes] == [int(p) for p in big.primes if p <= 100]
+
+
+def test_primes_below_ascending_scan_sieves_at_most_twice(monkeypatch):
+    # the rows of an ascending scan near the ceiling: a miss sieves ahead to 10^6
+    flags = bytearray([1]) * (10**6 + 1)
+    flags[:2] = b"\0\0"
+    for p in range(2, 1001):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, 10**6 + 1, p)))
+    reference = [n for n, f in enumerate(flags) if f]
+    monkeypatch.setattr(primes, "_prime_cache", None)
+    rebuilds, cache = 0, None
+    for x in [*range(999000, 999983, 61), 999983]:
+        got = primes_below(x)
+        rebuilds += primes._prime_cache is not cache
+        cache = primes._prime_cache
+        assert got.limit == x
+        assert got.primes.tolist() == reference[: bisect.bisect_right(reference, x)]
+    assert rebuilds <= 2
 
 
 def test_prime_residues_examples():
@@ -109,10 +121,11 @@ def test_eta_power_large_denominator():
 
 
 def test_big_omega_nu_examples():
-    assert big_omega(12) == 3 and nu(12) == 2  # 12 = 2^2 * 3
-    assert big_omega(1) == 0 and nu(1) == 0
-    assert big_omega(2**10) == 10 and nu(2**10) == 1
-    assert big_omega(2 * 3 * 5 * 7) == 4 == nu(210)
+    sieve = factor_sieve(2**10)
+    assert sieve.big_omega(12) == 3 and sieve.nu(12) == 2  # 12 = 2^2 * 3
+    assert sieve.big_omega(1) == 0 and sieve.nu(1) == 0
+    assert sieve.big_omega(2**10) == 10 and sieve.nu(2**10) == 1
+    assert sieve.big_omega(2 * 3 * 5 * 7) == 4 == sieve.nu(210)
 
 
 def test_factor_sieve_range_check():
@@ -152,15 +165,15 @@ def test_omega_minus_nu_double_loop_oracle():
 
 def test_rough_indicator_frozen():
     # spf >= 3 on [1, 20]: 1 plus every odd n
-    mask = rough_indicator(20, 3)
+    mask = factor_sieve(20).rough_mask(3)[:21]
     assert list(np.flatnonzero(mask)) == [1, 3, 5, 7, 9, 11, 13, 15, 17, 19]
 
 
 def test_rough_indicator_edges():
-    assert rough_indicator(50, 2)[1:].all()  # no prime < 2: everything rough
-    mask = rough_indicator(100, 50)
+    assert factor_sieve(50).rough_mask(2)[1:51].all()  # no prime < 2: everything rough
+    mask = factor_sieve(100).rough_mask(50)[:101]
     for p in (53, 59, 61, 67, 71, 73, 79, 83, 89, 97):
         assert mask[p]  # a prime is rough for any z <= p
     assert not mask[0]
     with pytest.raises(ValueError):
-        rough_indicator(10, 1.5)
+        factor_sieve(10).rough_mask(1.5)[:11]
