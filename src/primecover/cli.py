@@ -6,13 +6,14 @@ are printed with 12 significant digits -- so identical configurations yield
 byte-identical CSV/JSON output.
 
 Exit codes: 0 success, 1 a hard bound check failed, 2 invalid configuration,
-3 an internal invariant broke (a bug, not a failed bound).
+3 an invariant broke or any other exception escaped: a bug, not a failed bound.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import json
 import math
 import sys
 from fractions import Fraction
@@ -21,8 +22,8 @@ import numpy as np
 
 from . import audits, coset, fourier, products, sieves
 from .modular import MAX_MODULUS, character_table, primes_in_range
-from .primes import Eta, prime_residues
-from .reports import AuditReport, fmt_float, reports_to_csv, reports_to_json
+from .primes import Eta, parse_fraction, prime_residues
+from .reports import AuditReport, _clean, fmt_float, reports_to_csv, reports_to_json
 from .residues import ResidueSet
 
 
@@ -50,9 +51,7 @@ def _rows_to_csv(columns: tuple[str, ...], rows: list[tuple]) -> str:
 
 
 def _rows_to_json(columns: tuple[str, ...], rows: list[tuple]) -> str:
-    import json
-
-    payload = [dict(zip(columns, row)) for row in rows]
+    payload = _clean([dict(zip(columns, row)) for row in rows])  # floats at 12 digits, as in CSV
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -127,7 +126,7 @@ def cmd_erdos_scan(args) -> int:
 
 def cmd_theorem1(args) -> int:
     """Pair-product density at eta = q^(epsilon - 1/4) vs (2e/(3+4e))^2."""
-    eps = Fraction(args.epsilon)
+    eps = parse_fraction(args.epsilon)
     if not 0 < eps <= Fraction(1, 4):
         raise ValueError("epsilon must lie in (0, 1/4]")
     eta = Eta.power(eps - Fraction(1, 4))
@@ -174,10 +173,8 @@ def _convolution_positivity(
 
 def cmd_theorem2(args) -> int:
     """Six-fold prime products: direct union check plus convolution positivity."""
-    eps = Fraction(args.epsilon) if args.epsilon is not None else None
     base = Fraction(-1, 16) if args.mode == "i" else Fraction(-1, 4)
-    if eps is None:
-        eps = -base  # default lands at eta = 1
+    eps = -base if args.epsilon is None else parse_fraction(args.epsilon)  # default: eta = 1
     expo = base + eps
     if expo > 0:
         raise ValueError("epsilon too large: eta would exceed 1")
@@ -248,6 +245,8 @@ def _min_covering_exponent(p: ResidueSet, trace: products.ExpansionTrace) -> int
 
 def cmd_theorem3(args) -> int:
     """Minimal covering exponent for P_eta, against the theoretical 48."""
+    if args.k is not None and args.k < 1:
+        raise ValueError("--k must be >= 1")
     eta = Eta.parse(args.eta)
     p = prime_residues(args.q, eta)
     q = p.q
@@ -279,8 +278,6 @@ def cmd_theorem3(args) -> int:
         "theoretical_exponent": trace.theoretical_exponent,
     }
     if args.k is not None:
-        if args.k < 1:
-            raise ValueError("--k must be >= 1")
         details["covers_at_k"] = {
             "k": args.k,
             "covers": products.iterated_product(p, args.k).covers_units,
@@ -348,7 +345,7 @@ OMEGA_COLUMNS = (
 
 def cmd_omega_sum(args) -> int:
     """Partial sums of z^Omega(n) against the main term, z = e(2*pi*i*a/b)."""
-    rot = Fraction(args.z)
+    rot = parse_fraction(args.z)
     z = cmath.exp(2j * cmath.pi * float(rot))
     rows = []
     for x in args.x:
@@ -460,7 +457,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (AssertionError, RuntimeError) as exc:
+    except Exception as exc:  # a broken invariant or any other bug: never a failed bound
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

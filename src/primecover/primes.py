@@ -62,6 +62,14 @@ def primes_below(x: int) -> PrimeList:
     return PrimeList(x, cache.primes[:cut])
 
 
+def parse_fraction(text: str) -> Fraction:
+    """A decimal or a/b given on the command line; a zero denominator is a ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 @dataclass(frozen=True)
 class Eta:
     """The prime-range parameter eta, kept exact for threshold comparisons.
@@ -99,8 +107,8 @@ class Eta:
             expo = s[2:].strip()
             if expo.startswith("(") and expo.endswith(")"):
                 expo = expo[1:-1]
-            return cls.power(Fraction(expo))
-        return cls.literal(Fraction(s))
+            return cls.power(parse_fraction(expo))
+        return cls.literal(parse_fraction(s))
 
     @classmethod
     def coerce(cls, eta: Eta | float | Fraction | int | str) -> Eta:

@@ -4,26 +4,21 @@ The group is cyclic of order q-1, so a set maps through discrete logs to a
 subset of Z/(q-1) and product sets become sumsets.  Every product goes that
 way, whatever the operand sizes; `CharacterTable.to_dlog` / `from_dlog` carry
 sets into and out of the discrete-log masks, a full mask without decoding.  A
-sumset is an OR of cyclic bit rotations of the larger operand B, one per
-member of the smaller operand A it rotates by (only those are decoded),
-stopping as soon as the group is full.  Below n = _BYTE_SLICE_BITS a rotation
-is a big-int `_rotl`; from there, D = B | B << n is laid out once as bytes in
-8 copies shifted by 0..7 bits, and rot_t(B), bits [n - t, 2n - t) of D, is
-OR-ed in as one byte-aligned slice (fixed cost: ~10 numpy calls, a loss below
-n ~ 2 * 10^4).  Up to _FFT_ROTATIONS rotations beat the exact FFT
-convolution's support at every measured q >= 5 * 10^4, so such an A always
-rotates.  A larger A rotates only if a random-like B would fill the group
-within _FFT_ROTATIONS: one rotation covers a share |B| / (q-1), so about
-ln(q) * (q-1) / |B| leave no gap (measured fills took 0.8-1.9x that), and
-the probe allows 2 * log2(q) * (q-1) / |B|; if the group is not full by then,
-the FFT computes the sumset (P_1 * P_1 near q = 10^6 fills in about 200 of
-510).  Half way, u gaps left would shrink to about u^2 / (q-1), so
-the probe gives up there if u^2 > q - 1: an operand trapped in a proper coset
-never fills and pays half the probe on top of the FFT.  If |A| + |B| > q - 1
-the sumset is the whole group by pigeonhole (for any u, A and u - B must
-intersect), which short-circuits the saturated tail of an expansion run.
-`product_set_naive`, the definition-chasing double loop, is kept only as the
-oracle the tests compare against.
+sumset is an OR of cyclic bit rotations of the larger operand B, one per member
+of the smaller operand A it rotates by (only those are decoded), stopping as
+soon as the group is full.  Rotating by t takes bits [n - t, 2n - t) of
+D = B | B << n: below n = _BYTE_SLICE_BITS one big-int shift (`_rotl`), from
+there a byte-aligned slice of one of 8 bit-shifted byte copies of D (fixed
+cost: ~10 numpy calls, a loss below n ~ 2 * 10^4).  An A within
+`_rotation_budget(n)` rotates in full; a larger one by its first
+2 * log2(n) * n / |B| members, enough for a random-like B to fill the group
+(one rotation covers a share |B| / n; fills took 0.8-1.9x ln(n) * n / |B|,
+P_1 * P_1 near q = 10^6 about 200 of 510).  Only a group still not full goes
+to the FFT sumset.  If |A| + |B| > q - 1 the sumset is the whole group by
+pigeonhole (for any u, A and u - B must intersect), which short-circuits the
+saturated tail of an expansion run.  `product_set_naive`, the
+definition-chasing double loop, is kept only as the oracle the tests compare
+against.
 
 Both integer convolutions, the FFT sumset and `solution_counts_all`, go
 through one kernel, `_cyclic_counts`.  It zero-pads the length-(q-1)
@@ -51,15 +46,21 @@ from .primes import Eta, prime_residues
 from .reports import FAIL, PASS, RECORDED, AuditReport
 from .residues import ResidueSet, from_positions, leading_positions, pack, positions, unpack
 
-_FFT_ROTATIONS = 1024  # rotations above which the FFT sumset wins, for q >= 5 * 10^4
 _BYTE_SLICE_BITS = 2**15  # n from which byte-sliced rotations beat big-int ones
 
 
-def _rotl(bits: int, t: int, n: int, mask: int) -> int:
-    t %= n
-    if t == 0:
-        return bits
-    return ((bits << t) | (bits >> (n - t))) & mask
+def _rotation_budget(n: int) -> int:
+    """Rotations that cost about one FFT squaring; budget^2 > 2 * log2(n) * n up to 10^6.
+
+    n // 18 fits the crossovers measured with squarings, the commands' only sumsets: 1.8-1.9k
+    at n = 2^15, 5.4-6.8k at 10^5, 20k at 5 * 10^5, 24-26k at 10^6 (pair products: 1.4x later).
+    """
+    return 1024 if n < _BYTE_SLICE_BITS else min(n // 18, 20_000)
+
+
+def _rotl(d: int, t: int, n: int, mask: int) -> int:
+    """B rotated left by t in [0, n): bits [n - t, 2n - t) of D = B | B << n."""
+    return (d >> (n - t)) & mask
 
 
 def _rotl_bytes(copies: np.ndarray, t: int, n: int) -> np.ndarray:
@@ -120,34 +121,29 @@ def _sumset_exp_fft(e1: int, e2: int, n: int) -> int:
 
 def _sumset_exp(e1: int, e2: int, n: int) -> int:
     mask = (1 << n) - 1
-    if e1 == 0 or e2 == 0:
-        return 0
     c1, c2 = e1.bit_count(), e2.bit_count()
     if c1 + c2 > n:
         return mask  # pigeonhole: u - e2 meets e1 for every u
     small, big, members, size = (e1, e2, c1, c2) if c1 <= c2 else (e2, e1, c2, c1)
-    # past _FFT_ROTATIONS members, rotate up to the fill estimate, with margin
-    rotations = members if members <= _FFT_ROTATIONS else 2 * n.bit_length() * n // size
-    if rotations > _FFT_ROTATIONS:
-        return _sumset_exp_fft(e1, e2, n)
-    probe = rotations < members
-    shifts = leading_positions(small, rotations) if probe else positions(small, n).tolist()
+    if members <= _rotation_budget(n):
+        shifts = positions(small, n).tolist()
+    else:  # rotate up to the fill estimate, with margin; it is below the budget
+        shifts = leading_positions(small, 2 * n.bit_length() * n // size)
     if n < _BYTE_SLICE_BITS:
+        d = big | big << n
         acc = 0
-        for i, t in enumerate(shifts):
-            if probe and i == rotations // 2 and (n - acc.bit_count()) ** 2 > n:
-                break  # u gaps at half way leave about u^2 / n > 1 at the end
-            acc |= _rotl(big, t, n, mask)
+        for t in shifts:
+            acc |= _rotl(d, t, n, mask)
             if acc == mask:
-                return acc
+                break
     else:
-        acc = _sliced_rotations(big, shifts, n, rotations // 2 if probe else -1)
-    if probe and acc != mask:
-        return _sumset_exp_fft(e1, e2, n)  # the probe did not fill the group
+        acc = _sliced_rotations(big, shifts, n)
+    if acc != mask and len(shifts) < members:
+        return _sumset_exp_fft(e1, e2, n)  # the estimate did not fill the group
     return acc
 
 
-def _sliced_rotations(big: int, shifts: list[int], n: int, half: int) -> int:
+def _sliced_rotations(big: int, shifts: list[int], n: int) -> int:
     """`_sumset_exp`'s rotation loop on bytes; it tests for a full group every 16 rotations."""
     words = n // 32 + 2  # D's 2n bits, and a zero word to shift in
     w = np.frombuffer((big | big << n).to_bytes(8 * words, "little"), dtype="<u8")
@@ -160,8 +156,6 @@ def _sliced_rotations(big: int, shifts: list[int], n: int, half: int) -> int:
     acc = np.zeros((n + 7) // 8, dtype=np.uint8)
     acc[-1] = (0xFF << (n - 1) % 8 + 1) & 0xFF  # bits past n stay set: a full group is all 0xFF
     for i, t in enumerate(shifts):
-        if i == half and (8 * acc.size - int.from_bytes(acc, "little").bit_count()) ** 2 > n:
-            break  # the gaps are the zero bits
         np.bitwise_or(acc, _rotl_bytes(copies, t, n), out=acc)
         if i % 16 == 15 and acc.min() == 0xFF:
             break

@@ -113,7 +113,7 @@ def test_theorem3_squares_once(tmp_path):
     assert rep["computed"] == 5.0
     assert [s["k"] for s in rep["details"]["doubling_trace"]] == [2, 4, 8]
     assert sumset.call_count == 9
-    assert fft.call_count == 3
+    assert fft.call_count == 0
 
 
 def test_density_command(tmp_path):
@@ -205,16 +205,54 @@ def test_jobs_byte_identical(tmp_path):
     assert a == b and a.count("\n") == 1 + 302  # a header and a row per odd prime to 2000
 
 
-def test_internal_error_exits_three(monkeypatch, capsys):
-    from primecover import products
-
+@pytest.mark.parametrize(
+    "exc", [AssertionError, RuntimeError, IndexError, KeyError, TypeError, ZeroDivisionError]
+)
+def test_internal_error_exits_three(exc, monkeypatch, capsys):
     def broken(a, b):
-        raise AssertionError("forced drift")
+        raise exc("forced drift")
 
     monkeypatch.setattr(products, "product_set", broken)
     assert main(["erdos-scan", "--q", "101"]) == 3
     err = capsys.readouterr().err
-    assert err.splitlines() == ["internal error: AssertionError: forced drift"]
+    assert err.splitlines() == [f"internal error: {exc.__name__}: {exc('forced drift')}"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["erdos-scan", "--q", "101", "--eta", "1/0"],
+        ["erdos-scan", "--q", "101", "--eta", "q^1/0"],
+        ["theorem1", "--q", "101", "--epsilon", "1/0"],
+        ["theorem2", "--q", "101", "--epsilon", "1/0"],
+        ["omega-sum", "--x", "100", "--z", "1/0"],
+    ],
+)
+def test_zero_denominator_exits_two(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: zero denominator in '1/0'"]
+
+
+def test_theorem3_rejects_k_below_one_first(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "prime_residues", lambda *args: pytest.fail("primes sieved"))
+    monkeypatch.setattr(products, "expansion_schedule", lambda p: pytest.fail("expansion ran"))
+    assert main(["theorem3", "--q", "101", "--k", "0"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: --k must be >= 1"]
+
+
+def test_json_rows_floats_match_csv_cells(tmp_path):
+    argv = ["omega-sum", "--x", "100", "1000", "--z", "1/3"]
+    _, csv_text = run_cli(tmp_path, "o.csv", *argv)
+    _, json_text = run_cli(tmp_path, "o.json", *argv, "--format", "json")
+    assert "-69.5," in csv_text and "-69.5," in json_text  # the raw sum is -69.50000000000006
+    header, *lines = csv_text.splitlines()
+    floats = 0
+    for line, row in zip(lines, json.loads(json_text), strict=True):
+        for column, cell in zip(header.split(","), line.split(","), strict=True):
+            if isinstance(row[column], float):
+                assert row[column] == float(cell)
+                floats += 1
+    assert floats == 2 * 6
 
 
 _SINGLE_Q_COMMANDS = ("erdos-scan", "coset-scan", "theorem1", "theorem2", "theorem3", "density")

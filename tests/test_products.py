@@ -61,34 +61,30 @@ def test_product_set_fast_matches_naive(xs, ys):
     assert fast == product_set_naive(a, b)
 
 
-def test_product_set_fft_route_matches_rotations():
-    # force the FFT sumset and compare against the rotation accumulation
-    from primecover import products
-    from primecover.modular import character_table
-
-    rng = random.Random(21)
-    for q in (1009, 2039, 10007):
-        table = character_table(q)
-        n = q - 1
-        mask = (1 << n) - 1
-        for size in (n // 7, n // 3, n // 2):
-            a = ResidueSet.from_elements(q, rng.sample(range(1, q), size))
-            b = ResidueSet.from_elements(q, rng.sample(range(1, q), size))
-            ea, eb = table.to_dlog(a), table.to_dlog(b)
-            via_fft = products._sumset_exp_fft(ea, eb, n)
-            acc = 0
-            for t in positions(ea, n).tolist():
-                acc |= products._rotl(eb, t, n, mask)
-            assert via_fft == acc
+def _rotate(bits, t, n):
+    """bits rotated left by t mod n, independent of the engine's rotation hook."""
+    return ((bits << t) | (bits >> (n - t))) & ((1 << n) - 1)
 
 
 def _full_rotation(e1, e2, n):
     """The rotation loop over every element of e1, with no early exit."""
-    mask = (1 << n) - 1
     acc = 0
     for t in positions(e1, n).tolist():
-        acc |= products._rotl(e2, t, n, mask)
+        acc |= _rotate(e2, t, n)
     return acc
+
+
+def test_product_set_fft_route_matches_rotations():
+    # force the FFT sumset and compare against the rotation accumulation
+    rng = random.Random(21)
+    for q in (1009, 2039, 10007):
+        table = character_table(q)
+        n = q - 1
+        for size in (n // 7, n // 3, n // 2):
+            a = ResidueSet.from_elements(q, rng.sample(range(1, q), size))
+            b = ResidueSet.from_elements(q, rng.sample(range(1, q), size))
+            ea, eb = table.to_dlog(a), table.to_dlog(b)
+            assert products._sumset_exp_fft(ea, eb, n) == _full_rotation(ea, eb, n)
 
 
 @contextlib.contextmanager
@@ -128,15 +124,19 @@ def test_sumset_full_rotation_vs_oracle(q, seed, da, db, square):
     b = a if square else ResidueSet.from_elements(q, units[rng.random(n) < db].tolist())
     table = character_table(q)
     ea, eb = table.to_dlog(a), table.to_dlog(b)
+    budget = products._rotation_budget(n)
     for byte_slice_bits in (products._BYTE_SLICE_BITS, 0):
-        with mock.patch.object(products, "_BYTE_SLICE_BITS", byte_slice_bits):
+        with (
+            mock.patch.object(products, "_BYTE_SLICE_BITS", byte_slice_bits),
+            mock.patch.object(products, "_rotation_budget", lambda n: budget),
+        ):
             out, rotations, fft = _traced_sumset(ea, eb, n)
         assert fft == 0
         assert out == _full_rotation(ea, eb, n)
         if len(a) + len(b) > n:  # pigeonhole exit
             assert rotations == 0 and out == (1 << n) - 1
         else:
-            assert rotations <= min(len(a), len(b)) <= products._FFT_ROTATIONS
+            assert rotations <= min(len(a), len(b)) <= budget
     if q < 7:
         assert product_set(a, b) == product_set_naive(a, b)
 
@@ -151,7 +151,7 @@ def test_sumset_probe_fills_without_fft(seed, square):
     out, rotations, fft = _traced_sumset(ea, eb, n)
     assert out == (1 << n) - 1 == _full_rotation(ea, eb, n)
     assert fft == 0
-    assert 0 < rotations < products._FFT_ROTATIONS < 3000
+    assert 0 < rotations < products._rotation_budget(n) < 3000
 
 
 @settings(deadline=None, max_examples=10)
@@ -164,22 +164,27 @@ def test_sumset_probe_falls_back_to_fft(seed, size, square):
     eb = ea if square else _random_mask(rng, n, size, step=2)
     out, rotations, fft = _traced_sumset(ea, eb, n)
     assert out == _full_rotation(ea, eb, n)
-    assert fft == 1
-    assert 0 < rotations < size
+    assert (rotations, fft) == (2 * n.bit_length() * n // size, 1)
 
 
-def test_sumset_probe_abandons_at_half_estimate():
-    # index-2-subgroup operands never fill: at half the fill estimate at least
-    # n/2 gaps remain, and (n/2)^2 > n, so the probe gives up there
+def test_sumset_probe_rotates_estimate_then_fft():
+    # index-2-subgroup operands past the budget never fill: the probe makes every
+    # rotation of the fill estimate, then one FFT computes the sumset
     n = 100002
     rng = np.random.default_rng(5)
-    ea, eb = _random_mask(rng, n, 3400, step=2), _random_mask(rng, n, 3400, step=2)
-    estimate = 2 * n.bit_length() * n // 3400
-    assert estimate == 1000 <= products._FFT_ROTATIONS < 3400
+    ea, eb = _random_mask(rng, n, 10000, step=2), _random_mask(rng, n, 10000, step=2)
+    estimate = 2 * n.bit_length() * n // 10000
+    assert estimate == 340 < products._rotation_budget(n) < 10000
     for e1, e2 in ((ea, ea), (ea, eb)):
         out, rotations, fft = _traced_sumset(e1, e2, n)
-        assert (rotations, fft) == (estimate // 2, 1)
+        assert (rotations, fft) == (estimate, 1)
         assert out == _full_rotation(e1, e2, n)
+
+
+def test_rotation_budget_exceeds_fill_estimate():
+    # an operand past the budget has a fill estimate 2 * log2(n) * n / |B| below the budget
+    budget = products._rotation_budget
+    assert all(budget(n) ** 2 > 2 * n.bit_length() * n for n in range(2, 10**6))
 
 
 @settings(deadline=None, max_examples=6)
@@ -188,14 +193,16 @@ def test_sumset_probe_abandons_at_half_estimate():
     size_a=st.integers(1100, 3000),
     size_b=st.integers(1100, 3000),
 )
-def test_sumset_direct_fft(seed, size_a, size_b):
+def test_sumset_within_budget_rotates(seed, size_a, size_b):
+    # past 1024 members but within the byte path's budget: the operands rotate, never the FFT
     n = 100002
     rng = np.random.default_rng(seed)
     ea, eb = _random_mask(rng, n, size_a), _random_mask(rng, n, size_b)
+    assert max(size_a, size_b) <= products._rotation_budget(n)
     for e1, e2 in ((ea, ea), (ea, eb)):
         out, rotations, fft = _traced_sumset(e1, e2, n)
         assert out == _full_rotation(e1, e2, n)
-        assert (rotations, fft) == (0, 1)
+        assert fft == 0 and 0 < rotations <= min(e1.bit_count(), e2.bit_count())
 
 
 def test_prime_pair_products_near_ceiling_rotate():
@@ -204,24 +211,26 @@ def test_prime_pair_products_near_ceiling_rotate():
     p = prime_residues(q)
     with _counted_paths() as (rotations, fft):
         pp = product_set(p, p)
-    assert fft.call_count == 0 and 0 < rotations() < products._FFT_ROTATIONS
+    assert fft.call_count == 0 and 0 < rotations() < products._rotation_budget(q - 1)
     table = character_table(q)
     e = table.to_dlog(p)
     assert pp == table.from_dlog(products._sumset_exp_fft(e, e, q - 1))
 
 
 # q - 1 = 2 * 16421, 4 * 8233, 2 * 499991 (n = 2, 4, 6 mod 8), all on the byte path: P_1 fills
-# within the probe, P_1/10 squared rotates in full without filling (an FFT at q = 999983), and
-# index-2-subgroup operands make the probe give up half way and fall back to the FFT
+# within the probe; P_1/10 (9,592 members at q = 999983) rotates without the FFT; index-2-subgroup
+# operands never fill, so within the budget they rotate in full, and past it they make every
+# rotation of the fill estimate, then fall back to the FFT
 @pytest.mark.parametrize("q", (32843, 32933, 999983))
-@pytest.mark.parametrize("kind", ("P_1", "P_1/10", "index-2"))
+@pytest.mark.parametrize("kind", ("P_1", "P_1/10", "index-2", "index-2-within-budget"))
 def test_byte_sliced_sumset_vs_oracles(q, kind):
     n = q - 1
     assert n >= products._BYTE_SLICE_BITS
+    budget = products._rotation_budget(n)
     table = character_table(q)
     rng = np.random.default_rng(q)
-    if kind == "index-2":
-        size = 3000 if q < 10**5 else 40000
+    if kind.startswith("index-2"):
+        size = 1500 if kind == "index-2-within-budget" else 3000 if q < 10**5 else 40000
         ea, eb = _random_mask(rng, n, size, step=2), _random_mask(rng, n, size, step=2)
     elif kind == "P_1":
         ea = table.to_dlog(prime_residues(q))
@@ -234,9 +243,12 @@ def test_byte_sliced_sumset_vs_oracles(q, kind):
         if q < 10**5:
             assert out == _full_rotation(e1, e2, n)
         if kind == "index-2":
-            assert (rotations, fft) == (n.bit_length() * n // size, 1)
+            assert size > budget
+            assert (rotations, fft) == (2 * n.bit_length() * n // size, 1)
+        elif kind == "index-2-within-budget":
+            assert (rotations, fft) == (size, 0)
         else:
-            assert (rotations > 0) != (fft > 0)
+            assert fft == 0 and 0 < rotations <= min(e1.bit_count(), budget)
 
 
 def test_fast_len_vs_scipy_exhaustive():
