@@ -21,9 +21,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import audits, coset, fourier, products, sieves
-from .modular import MAX_MODULUS, character_table, primes_in_range
+from .modular import MAX_MODULUS, character_table, modulus_value, primes_in_range
 from .primes import Eta, parse_fraction, prime_residues
-from .reports import AuditReport, _clean, fmt_float, reports_to_csv, reports_to_json
+from .reports import AuditReport, _clean, _csv_cell, reports_to_csv, reports_to_json
 from .residues import ResidueSet
 
 
@@ -37,16 +37,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _rows_to_csv(columns: tuple[str, ...], rows: list[tuple]) -> str:
     lines = [",".join(columns)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, float):
-                cells.append(fmt_float(v))
-            elif v is None:
-                cells.append("")
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
+    lines += (",".join(_csv_cell(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -179,9 +170,14 @@ def cmd_theorem2(args) -> int:
     if expo > 0:
         raise ValueError("epsilon too large: eta would exceed 1")
     eta = Eta.power(expo)
+    q = modulus_value(args.q)
+    if min(eta.largest_admitted(q), q - 1) < 4:
+        raise ValueError(
+            f"the sieve range min(eta*q, q - 1) must be at least 4; raise --q or --epsilon "
+            f"(got --q {q}, --epsilon {eps})"
+        )
 
-    p = prime_residues(args.q, eta)
-    q = p.q
+    p = prime_residues(q, eta)
     reports = []
     if not p:
         reports.append(
@@ -386,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, jobs=False):
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized audits")
         if jobs:
             p.add_argument("--jobs", type=int, default=1, help="parallel workers for scans")
 
@@ -443,6 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="run a named audit suite")
     p.add_argument("suite", help=f"one of: {', '.join(audits.SUITES)}, all")
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized audits")
     add_common(p)
     p.set_defaults(fn=cmd_audit)
 

@@ -152,7 +152,7 @@ def euler_product_constant(z: complex, prime_limit: int = EULER_PRODUCT_PRIME_LI
     Terms are O(1/p^2), so the truncation error beyond 10^6 is below
     EULER_PRODUCT_TAIL_BOUND; callers fold that into their error bars.
     """
-    ps = primes_below(prime_limit).primes.astype(np.float64)
+    ps = primes_below(prime_limit).astype(np.float64)
     total = (-np.log(1 - z / ps) + z * np.log1p(-1.0 / ps)).sum()
     return complex(cmath.exp(total))
 

@@ -251,5 +251,5 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
 
     if hi < max(lo, 2):
         return []
-    ps = primes_below(hi).primes
+    ps = primes_below(hi)
     return ps[np.searchsorted(ps, lo) :].tolist()

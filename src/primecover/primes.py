@@ -2,9 +2,9 @@
 
 Covers the prime sets P_eta = {p prime : p < eta*q} viewed as residues mod q,
 the factor-counting functions Omega(n) (with multiplicity) and nu(n)
-(distinct), and z-roughness (no prime factor below z).  A single smallest-
-prime-factor sieve is shared per run and grown on demand, since Omega/nu
-lookups are hot in the z^Omega(n) partial sums.
+(distinct), and z-roughness (no prime factor below z).  `primes_below` slices
+one cached Eratosthenes array; `factor_sieve` shares one smallest-prime-factor
+table per run, from which Omega and nu are filled eagerly by doubling.
 """
 
 from __future__ import annotations
@@ -19,26 +19,12 @@ from .modular import MAX_MODULUS, isqrt_floor, modulus_value
 from .residues import ResidueSet, from_positions
 
 
-@dataclass(frozen=True)
-class PrimeList:
-    """The primes up to `limit`, sorted ascending."""
-
-    limit: int
-    primes: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.primes)
-
-    def __iter__(self):
-        return iter(int(p) for p in self.primes)
-
-
 _sieve_lock = threading.Lock()
-_prime_cache: PrimeList | None = None
+_prime_cache: tuple[int, np.ndarray] | None = None  # (limit, primes <= limit)
 
 
-def primes_below(x: int) -> PrimeList:
-    """Exactly the primes p <= x (boolean Eratosthenes sieve, cached).
+def primes_below(x: int) -> np.ndarray:
+    """Exactly the primes p <= x, ascending int64 (boolean Eratosthenes sieve, cached).
 
     A miss sieves to at least twice the cached limit, capped at MAX_MODULUS,
     so an ascending scan re-sieves O(log) times rather than once per row.
@@ -47,19 +33,16 @@ def primes_below(x: int) -> PrimeList:
     if x < 2:
         raise ValueError("primes_below expects x >= 2")
     with _sieve_lock:
-        if _prime_cache is None or _prime_cache.limit < x:
-            top = x if _prime_cache is None else max(x, min(2 * _prime_cache.limit, MAX_MODULUS))
+        if _prime_cache is None or _prime_cache[0] < x:
+            top = x if _prime_cache is None else max(x, min(2 * _prime_cache[0], MAX_MODULUS))
             mask = np.ones(top + 1, dtype=bool)
             mask[:2] = False
             for p in range(2, isqrt_floor(top, 2) + 1):
                 if mask[p]:
                     mask[p * p :: p] = False
-            _prime_cache = PrimeList(top, np.flatnonzero(mask).astype(np.int64))
-        cache = _prime_cache
-    if cache.limit == x:
-        return cache
-    cut = int(np.searchsorted(cache.primes, x, side="right"))
-    return PrimeList(x, cache.primes[:cut])
+            _prime_cache = (top, np.flatnonzero(mask).astype(np.int64))
+        ps = _prime_cache[1]
+    return ps[: int(np.searchsorted(ps, x, side="right"))]
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -153,15 +136,21 @@ def prime_residues(q: int, eta: Eta | float | Fraction | int | str = 1) -> Resid
     top = min(e.largest_admitted(qv), qv - 1)
     if top < 2:
         return ResidueSet.empty(qv)
-    return ResidueSet(qv, from_positions(primes_below(top).primes, qv))
+    return ResidueSet(qv, from_positions(primes_below(top), qv))
+
+
+# spf takes 8 bytes per n and Omega, nu one each; at 10^7 omega-sum peaks near 0.3 GB
+FACTOR_SIEVE_MAX = 10**7
 
 
 class FactorSieve:
-    """Smallest-prime-factor table for [2, limit] plus derived Omega/nu."""
+    """Smallest-prime-factor table for [2, limit] plus Omega and nu for [0, limit]."""
 
     def __init__(self, limit: int):
         if limit < 2:
             raise ValueError("FactorSieve needs limit >= 2")
+        if limit > FACTOR_SIEVE_MAX:
+            raise ValueError(f"factor sieve budget is x <= 10^7, got x = {limit}")
         self.limit = limit
         spf = np.zeros(limit + 1, dtype=np.int64)
         for p in range(2, isqrt_floor(limit, 2) + 1):
@@ -171,53 +160,22 @@ class FactorSieve:
         rest = np.flatnonzero(spf == 0)[2:]  # untouched entries >= 2 are prime
         spf[rest] = rest
         self.spf = spf
-        self._omega: np.ndarray | None = None
-        self._nu: np.ndarray | None = None
+        # doubling over [lo, 2 lo): m = n // spf(n) <= n/2 is already filled, so
+        # Omega(n) = Omega(m) + 1 and nu(n) = nu(m) + [spf(m) != spf(n)], spf(1) = 0
+        self.omega_values = np.zeros(limit + 1, dtype=np.int8)
+        self.nu_values = np.zeros(limit + 1, dtype=np.int8)
+        lo = 2
+        while lo <= limit:
+            hi = min(2 * lo, limit + 1)
+            p = spf[lo:hi]
+            m = np.arange(lo, hi) // p
+            self.omega_values[lo:hi] = self.omega_values[m] + 1
+            self.nu_values[lo:hi] = self.nu_values[m] + (spf[m] != p)
+            lo = hi
 
     def _check_range(self, n: int) -> None:
         if not 1 <= n <= self.limit:
             raise ValueError(f"n={n} outside sieve range [1, {self.limit}]")
-
-    @property
-    def omega_values(self) -> np.ndarray:
-        """Omega(n) for all n <= limit (Omega(1) = 0)."""
-        if self._omega is None:
-            self._omega = self._count(distinct=False)
-        return self._omega
-
-    @property
-    def nu_values(self) -> np.ndarray:
-        """nu(n) for all n <= limit (nu(1) = 0)."""
-        if self._nu is None:
-            self._nu = self._count(distinct=True)
-        return self._nu
-
-    def _count(self, distinct: bool) -> np.ndarray:
-        # Peel prime factors in vectorized passes; depth is max Omega ~ log2(limit).
-        counts = np.zeros(self.limit + 1, dtype=np.int8)
-        cur = np.arange(self.limit + 1, dtype=np.int64)
-        cur[:2] = 1
-        active = np.flatnonzero(cur > 1)
-        while active.size:
-            vals = cur[active]
-            ps = self.spf[vals]
-            if distinct:
-                nxt = vals // ps
-                strip = nxt % ps == 0
-                while np.any(strip):
-                    nxt[strip] //= ps[strip]
-                    strip = nxt % ps == 0
-                counts[active] += 1
-                cur[active] = nxt
-            else:
-                counts[active] += 1
-                cur[active] = vals // ps
-            active = active[cur[active] > 1]
-        return counts
-
-    def big_omega(self, n: int) -> int:
-        self._check_range(n)
-        return int(self.omega_values[n])
 
     def nu(self, n: int) -> int:
         self._check_range(n)

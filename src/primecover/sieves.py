@@ -93,7 +93,7 @@ def sifting_primes(z: float) -> list[int]:
     top = math.ceil(z) - 1  # p < z; exact when z is integral
     if top < 2:
         return []
-    return [int(p) for p in primes_below(top).primes]
+    return primes_below(top).tolist()
 
 
 @dataclass

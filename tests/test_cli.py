@@ -240,6 +240,56 @@ def test_theorem3_rejects_k_below_one_first(monkeypatch, capsys):
     assert capsys.readouterr().err.splitlines() == ["error: --k must be >= 1"]
 
 
+def test_omega_sum_rejects_x_past_sieve_budget(capsys):
+    assert main(["omega-sum", "--x", "2000000000"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: factor sieve budget is x <= 10^7, got x = 2000000000"
+    ]
+
+
+def test_omega_sum_at_sieve_budget(tmp_path, monkeypatch):
+    from primecover import primes
+
+    monkeypatch.setattr(primes, "_factor_cache", None)  # the 10^7 sieve leaves with the test
+    code, text = run_cli(tmp_path, "o.csv", "omega-sum", "--x", "10000000", "--z", "0")
+    assert code == 0
+    assert text.splitlines()[1].split(",")[:3] == ["10000000", "e(0)", "10000000"]
+
+
+@pytest.mark.parametrize("mode", ["i", "ii"])
+def test_theorem2_short_sieve_range_names_flags(mode, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "prime_residues", lambda *args: pytest.fail("primes sieved"))
+    assert main(["theorem2", "--q", "3", "--mode", mode]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "--q 3" in err[0] and "--epsilon" in err[0]
+
+
+def test_theorem2_q5_mode_ii(tmp_path):
+    # min(eta*q, q - 1) = 4 exactly: the least admitted sieve range
+    code, _ = run_cli(tmp_path, "t2.csv", "theorem2", "--q", "5", "--mode", "ii")
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["erdos-scan", "--q", "101"],
+        ["theorem1", "--q", "101"],
+        ["theorem2", "--q", "101"],
+        ["theorem3", "--q", "101"],
+        ["density", "--q", "101"],
+        ["coset-scan", "--q", "101"],
+        ["omega-sum", "--x", "1000"],
+    ],
+)
+def test_seed_only_on_audit(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_json_rows_floats_match_csv_cells(tmp_path):
     argv = ["omega-sum", "--x", "100", "1000", "--z", "1/3"]
     _, csv_text = run_cli(tmp_path, "o.csv", *argv)

@@ -20,7 +20,7 @@ def _is_prime_trial(n):
 
 
 def test_primes_below_small():
-    assert [int(p) for p in primes_below(10).primes] == [2, 3, 5, 7]
+    assert primes_below(10).tolist() == [2, 3, 5, 7]
     assert len(primes_below(100)) == 25
     assert len(primes_below(2)) == 1
 
@@ -30,9 +30,10 @@ def test_primes_below_million():
     assert len(pl) == 78498
     # independent trial-division check: every sampled entry is prime, and
     # membership agrees with trial division on a window around the top
-    for p in pl.primes[::1000]:
+    assert pl.dtype == np.int64
+    for p in pl[::1000]:
         assert _is_prime_trial(int(p))
-    tail = set(int(p) for p in pl.primes[-50:])
+    tail = set(pl[-50:].tolist())
     for n in range(999900, 10**6 + 1):
         assert (n in tail) == _is_prime_trial(n)
 
@@ -40,8 +41,7 @@ def test_primes_below_million():
 def test_primes_below_slicing_consistency():
     big = primes_below(10**4)
     small = primes_below(100)
-    assert small.limit == 100
-    assert [int(p) for p in small.primes] == [int(p) for p in big.primes if p <= 100]
+    assert small.tolist() == [int(p) for p in big if p <= 100]
 
 
 def test_primes_below_ascending_scan_sieves_at_most_twice(monkeypatch):
@@ -58,8 +58,7 @@ def test_primes_below_ascending_scan_sieves_at_most_twice(monkeypatch):
         got = primes_below(x)
         rebuilds += primes._prime_cache is not cache
         cache = primes._prime_cache
-        assert got.limit == x
-        assert got.primes.tolist() == reference[: bisect.bisect_right(reference, x)]
+        assert got.tolist() == reference[: bisect.bisect_right(reference, x)]
     assert rebuilds <= 2
 
 
@@ -122,16 +121,16 @@ def test_eta_power_large_denominator():
 
 def test_big_omega_nu_examples():
     sieve = factor_sieve(2**10)
-    assert sieve.big_omega(12) == 3 and sieve.nu(12) == 2  # 12 = 2^2 * 3
-    assert sieve.big_omega(1) == 0 and sieve.nu(1) == 0
-    assert sieve.big_omega(2**10) == 10 and sieve.nu(2**10) == 1
-    assert sieve.big_omega(2 * 3 * 5 * 7) == 4 == sieve.nu(210)
+    assert sieve.omega_values[12] == 3 and sieve.nu(12) == 2  # 12 = 2^2 * 3
+    assert sieve.omega_values[1] == 0 and sieve.nu(1) == 0
+    assert sieve.omega_values[2**10] == 10 and sieve.nu(2**10) == 1
+    assert sieve.omega_values[2 * 3 * 5 * 7] == 4 == sieve.nu(210)
 
 
 def test_factor_sieve_range_check():
     sieve = FactorSieve(100)
     with pytest.raises(ValueError):
-        sieve.big_omega(101)
+        sieve.is_squarefree(101)
     with pytest.raises(ValueError):
         sieve.nu(0)
 
@@ -145,8 +144,33 @@ def test_omega_nu_consistency_with_spf():
             om += 1
             dv.add(p)
             m //= p
-        assert sieve.big_omega(n) == om
+        assert sieve.omega_values[n] == om
         assert sieve.nu(n) == len(dv)
+
+
+@pytest.mark.parametrize("limit", [999999, 2**19])
+def test_omega_nu_doubling_vs_factorize(limit):
+    # trial division is independent of the spf table the doubling reads; the
+    # chunk edges 2^k - 1, 2^k, 2^k + 1 are where a chunk hands over to the next
+    from primecover.modular import factorize
+
+    sieve = FactorSieve(limit)
+    assert len(sieve.omega_values) == len(sieve.nu_values) == limit + 1
+    edges = [2**k + d for k in range(1, 20) for d in (-1, 0, 1)]
+    spots = [1, 999983, 510510, 3**12]
+    for n in sorted({*range(1, 2 * 10**4 + 1), *edges, *spots}):
+        if n > limit:
+            continue
+        f = factorize(n)
+        assert sieve.omega_values[n] == sum(f.values()), n
+        assert sieve.nu(n) == len(f), n
+        assert sieve.is_squarefree(n) == all(e == 1 for e in f.values()), n
+
+
+def test_factor_sieve_budget_checked_before_allocation(monkeypatch):
+    monkeypatch.setattr(np, "zeros", lambda *a, **k: pytest.fail("allocated"))
+    with pytest.raises(ValueError, match=r"x = 10000001"):
+        FactorSieve(primes.FACTOR_SIEVE_MAX + 1)
 
 
 def test_omega_minus_nu_double_loop_oracle():

@@ -79,7 +79,7 @@ def test_upper_rough_weight_is_one():
     # and w+(p) >= 1 for every prime z <= p <= x
     from primecover.primes import primes_below
 
-    for p in primes_below(params.x).primes:
+    for p in primes_below(params.x):
         if p >= w.z:
             assert warr[p] >= 1 - 1e-9
 
