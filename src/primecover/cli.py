@@ -22,7 +22,7 @@ import numpy as np
 
 from . import audits, coset, fourier, products, sieves
 from .modular import MAX_MODULUS, character_table, modulus_value, primes_in_range
-from .primes import Eta, parse_fraction, prime_residues
+from .primes import ETA_MAX_DENOMINATOR, Eta, parse_fraction, prime_residues
 from .reports import AuditReport, _clean, _csv_cell, reports_to_csv, reports_to_json
 from .residues import ResidueSet
 
@@ -72,10 +72,14 @@ def _q_list(args) -> list[int]:
     return qs
 
 
+MAX_JOBS = 64  # a pool starts all its workers at once, even with fewer tasks
+
+
 def _pmap(fn, items, jobs: int):
-    if jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {jobs}")
-    if jobs == 1 or len(items) <= 1:
+    if not 1 <= jobs <= MAX_JOBS:
+        raise ValueError(f"--jobs must lie in [1, {MAX_JOBS}], got {jobs}")
+    jobs = min(jobs, len(items))
+    if jobs <= 1:
         return [fn(it) for it in items]
     from concurrent.futures import ProcessPoolExecutor  # deferred: ~20 ms of imports
 
@@ -115,12 +119,22 @@ def cmd_erdos_scan(args) -> int:
 # theorem1 / theorem2 / theorem3
 
 
+def _epsilon_exponent(text: str, base: Fraction) -> tuple[Fraction, Fraction]:
+    """--epsilon > 0 and the eta exponent base + epsilon, refused before any power is taken."""
+    eps = parse_fraction(text)
+    if eps <= 0 or (base + eps).denominator > ETA_MAX_DENOMINATOR:
+        raise ValueError(
+            f"--epsilon must be > 0, with {base} + epsilon of denominator <= {ETA_MAX_DENOMINATOR}"
+        )
+    return eps, base + eps
+
+
 def cmd_theorem1(args) -> int:
     """Pair-product density at eta = q^(epsilon - 1/4) vs (2e/(3+4e))^2."""
-    eps = parse_fraction(args.epsilon)
-    if not 0 < eps <= Fraction(1, 4):
-        raise ValueError("epsilon must lie in (0, 1/4]")
-    eta = Eta.power(eps - Fraction(1, 4))
+    eps, expo = _epsilon_exponent(args.epsilon, Fraction(-1, 4))
+    if eps > Fraction(1, 4):
+        raise ValueError("--epsilon must lie in (0, 1/4]")
+    eta = Eta.power(expo)
     rep = products.density_report(args.q, eta, epsilon=float(eps))
     return _emit_reports(args, [rep])
 
@@ -165,8 +179,8 @@ def _convolution_positivity(
 def cmd_theorem2(args) -> int:
     """Six-fold prime products: direct union check plus convolution positivity."""
     base = Fraction(-1, 16) if args.mode == "i" else Fraction(-1, 4)
-    eps = -base if args.epsilon is None else parse_fraction(args.epsilon)  # default: eta = 1
-    expo = base + eps
+    default = (-base, Fraction(0))  # eta = 1
+    eps, expo = default if args.epsilon is None else _epsilon_exponent(args.epsilon, base)
     if expo > 0:
         raise ValueError("epsilon too large: eta would exceed 1")
     eta = Eta.power(expo)

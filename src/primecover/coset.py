@@ -21,6 +21,7 @@ Polya-Vinogradov bound on prefix character sums, which `audit pv` checks.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -146,6 +147,7 @@ class OmegaSumReport:
     noncancel_applicable: bool
 
 
+@functools.lru_cache(maxsize=16)  # audit omega: 9 distinct z, e(1/3) at three x
 def euler_product_constant(z: complex, prime_limit: int = EULER_PRODUCT_PRIME_LIMIT) -> complex:
     """prod_p (1 - z/p)^-1 * (1 - 1/p)^z, truncated at prime_limit.
 

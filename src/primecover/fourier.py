@@ -133,7 +133,9 @@ def kloosterman(r: int, s: int, q: int) -> complex:
     return complex(_unit_roots(qv)[idx].sum())
 
 
-GRID_MAX_MODULUS = 5000  # q x q index and value grids: ~200 MB of int64 each at the cap
+# q x q grids at the cap: 200 MB per int64 or float64 grid, 400 MB per complex128 one
+# (kloosterman_row's index and values, a hyperbola count's terms), 50 MB for the int16 index
+GRID_MAX_MODULUS = 5000
 
 
 def _grid_table(q: int):
@@ -156,6 +158,16 @@ def kloosterman_row(q: int) -> np.ndarray:
     us = np.arange(qv)
     idx = (ns[None, :] + us[:, None] * inv[1:][None, :]) % qv
     return _unit_roots(qv)[idx].sum(axis=1)
+
+
+_GATHER_ROWS = 64  # rows of Kl2 values gathered at once: 1 MB of complex at q = 1009
+
+
+@functools.lru_cache(maxsize=1)
+def _unit_product_grid(q: int) -> np.ndarray:
+    """(r * s) mod q for r, s in [1, q-1]; int16 holds q <= GRID_MAX_MODULUS (2 MB at q = 1009)."""
+    ns = np.arange(1, q)
+    return (np.multiply.outer(ns, ns) % q).astype(np.int16)
 
 
 def weil_audit(q: int, tol: float = 1e-6) -> AuditReport:
@@ -328,17 +340,26 @@ def solution_count_fourier(w: SieveWeights, a: int, q: int) -> SolutionCountRepo
     what = np.fft.fft(farr)
     w0 = what[0]
     tail = what[1:]
+    abs_tail = np.abs(tail)
     row = kloosterman_row(qv)  # row[u] = Kl2(1, u; q)
-    uidx = np.multiply.outer(np.arange(1, qv), np.arange(1, qv) * a % qv) % qv
-    kl = row[uidx]
-    offdiag = (tail[:, None] * tail[None, :] * kl).sum()
+    abs_row = np.abs(row)
+    # Kl2(r, s a; q) = row[(r a) s]: the a = 1 grid with row r moved to r a mod q,
+    # gathered a block of rows at a time into the terms (no q x q temporary)
+    rows = _unit_product_grid(qv)[np.arange(1, qv) * a % qv - 1]
+    terms = np.multiply.outer(tail, tail)
+    abs_terms = np.multiply.outer(abs_tail, abs_tail)
+    for lo in range(0, qv - 1, _GATHER_ROWS):
+        block = slice(lo, lo + _GATHER_ROWS)
+        idx = rows[block].astype(np.intp)
+        terms[block] *= row[idx]
+        abs_terms[block] *= abs_row[idx]
+    offdiag = terms.sum()
     cross_r = (-1.0) * (tail.sum() * w0)
     cross_s = (-1.0) * (w0 * tail.sum())
     main = (qv - 1) * w0 * w0
     spectral = (main + cross_r + cross_s + offdiag) / qv**2
 
-    abs_tail = np.abs(tail)
-    offdiag_abs = float((abs_tail[:, None] * abs_tail[None, :] * np.abs(kl)).sum()) / qv**2
+    offdiag_abs = float(abs_terms.sum()) / qv**2
     weil_bound = float(abs_tail.sum()) ** 2 * 2.0 * math.sqrt(qv) / qv**2
     axis_bound = float(abs(w0)) * float(abs_tail.sum()) / qv**2
 

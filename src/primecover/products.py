@@ -20,6 +20,11 @@ saturated tail of an expansion run.  `product_set_naive`, the
 definition-chasing double loop, is kept only as the oracle the tests compare
 against.
 
+`quotient_set` and `invert_set` work on discrete-log masks: A * A^-1 is the
+sumset e + (-e), where -e is e's n-bit reversal rotated left once, so the
+doubling dichotomy and the square-root rule decode no set, and an exhaustive
+dichotomy check enumerates masks directly.
+
 Both integer convolutions, the FFT sumset and `solution_counts_all`, go
 through one kernel, `_cyclic_counts`.  It zero-pads the length-(q-1)
 indicators to `_fast_len(2(q-1) - 1)`, the least 2^a * 3^b * 5^c that long,
@@ -41,10 +46,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coset import is_coset_trapped
-from .modular import character_table
+from .modular import CharacterTable, character_table
 from .primes import Eta, prime_residues
 from .reports import FAIL, PASS, RECORDED, AuditReport
-from .residues import ResidueSet, from_positions, leading_positions, pack, positions, unpack
+from .residues import ResidueSet, leading_positions, pack, positions, unpack
 
 _BYTE_SLICE_BITS = 2**15  # n from which byte-sliced rotations beat big-int ones
 
@@ -237,18 +242,15 @@ def six_fold_cover(p: ResidueSet) -> tuple[int | None, ResidueSet]:
     return None, union
 
 
-def invert_set(a: ResidueSet) -> ResidueSet:
-    """{x^-1 : x in A}, by negating discrete logs: (g^t)^-1 = g^(-t)."""
-    table = character_table(a.q)
-    logs = table.member_logs(a)
-    return ResidueSet(a.q, from_positions(table.pow_g[(-logs) % table.order], a.q))
+def invert_set(e: int, n: int) -> int:
+    """A^-1 as a discrete-log mask: bit t to (n - t) mod n, the n-bit reversal rotated left once."""
+    r = int(format(e, f"0{n}b")[::-1], 2)
+    return (r << 1 | r >> (n - 1)) & ((1 << n) - 1)
 
 
-def quotient_set(a: ResidueSet) -> ResidueSet:
-    """A * A^-1 = {x y^-1 : x, y in A}; always contains 1 for nonempty A."""
-    if not a:
-        raise ValueError("quotient set of the empty set is undefined")
-    return product_set(a, invert_set(a))
+def quotient_set(e: int, n: int) -> int:
+    """A * A^-1 = {x y^-1 : x, y in A} as a discrete-log mask: the sumset e + (-e)."""
+    return _sumset_exp(e, invert_set(e, n), n)
 
 
 def solution_count_naive(p: ResidueSet, a: int) -> int:
@@ -291,37 +293,38 @@ class FreimanVerdict:
         return self.quotient_covers or self.grows_three_halves
 
 
-def freiman_dichotomy(a: ResidueSet) -> FreimanVerdict:
-    """Either A * A^-1 is the whole group or |A*A| >= (3/2)|A|.
+def freiman_dichotomy(table: CharacterTable, e: int) -> FreimanVerdict:
+    """Either A * A^-1 is the whole group or |A*A| >= (3/2)|A|, for A with discrete-log mask e.
 
-    Inputs trapped in a proper coset are flagged, not rejected: the dichotomy
-    hypothesis fails there.  For untrapped inputs at least one disjunct must
-    hold; a violation would be a bug, so it raises.
+    Sets trapped in a proper coset, gcd(n, t - t0) > 1 over the positions t of
+    e, are flagged: the dichotomy hypothesis fails there.  For untrapped sets at
+    least one disjunct must hold.
     """
-    if not a:
+    if not e:
         raise ValueError("dichotomy needs a nonempty set")
-    trapped = is_coset_trapped(a)
-    covers = quotient_set(a).covers_units
-    prod = product_set(a, a)
-    grows = 2 * len(prod) >= 3 * len(a)
-    verdict = FreimanVerdict(a.q, len(a), trapped, covers, grows, len(prod))
-    if not trapped and not verdict.holds:
-        raise AssertionError(f"dichotomy violated by untrapped set {a!r}")
-    return verdict
+    n = table.order
+    logs = positions(e, n)
+    trapped = math.gcd(n, *(logs - logs[0]).tolist()) > 1
+    covers = quotient_set(e, n) == (1 << n) - 1
+    size, prod = e.bit_count(), _sumset_exp(e, e, n).bit_count()
+    return FreimanVerdict(table.q, size, trapped, covers, 2 * prod >= 3 * size, prod)
 
 
 def ruzsa_growth_check(a: ResidueSet) -> AuditReport:
     """|A*A| >= sqrt(|G|/|A|) * |A| whenever A * A^-1 = G.
 
     Rejects inputs whose quotient set is not the whole group (the triangle
-    inequality consequence needs that hypothesis).
+    inequality consequence needs that hypothesis).  A is encoded once, and its
+    quotient and product are each taken once, as discrete-log sumsets.
     """
     if not a:
         raise ValueError("needs a nonempty set")
-    if not quotient_set(a).covers_units:
+    table = character_table(a.q)
+    g = table.order
+    e = table.to_dlog(a)
+    if quotient_set(e, g) != (1 << g) - 1:
         raise ValueError("hypothesis A * A^-1 = G fails")
-    g = a.q - 1
-    prod = len(product_set(a, a))
+    prod = _sumset_exp(e, e, g).bit_count()
     bound = math.sqrt(g * len(a))
     ok = prod * prod >= g * len(a)  # exact integer form of prod >= sqrt(g*|A|)
     return AuditReport(
@@ -440,17 +443,3 @@ def density_report(q: int, eta: Eta | float | str = 1, epsilon: float | None = N
             "epsilon": eps,
         },
     )
-
-
-def subsets_not_coset_trapped(q: int) -> list[ResidueSet]:
-    """Every nonempty subset of (Z/qZ)^x not contained in a proper coset.
-
-    Exhaustive enumeration -- intended for q <= 17 or so (2^(q-1) subsets).
-    """
-    qv = character_table(q).q
-    out = []
-    for mask in range(1, 1 << (qv - 1)):
-        s = ResidueSet(qv, mask << 1)
-        if not is_coset_trapped(s):
-            out.append(s)
-    return out

@@ -194,6 +194,68 @@ def test_jobs_below_one_rejected(command, jobs, capsys):
     assert err.count("\n") == 1 and "--jobs" in err
 
 
+@pytest.mark.parametrize("command", ["erdos-scan", "coset-scan"])
+def test_jobs_above_ceiling_rejected(command, monkeypatch, capsys):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda **_: pytest.fail("pool"))
+    jobs = str(cli.MAX_JOBS + 1)
+    assert main([command, "--q-min", "3", "--q-max", "50", "--jobs", jobs]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--jobs" in err
+
+
+def test_pmap_starts_no_more_workers_than_items(monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    assert sorted(cli._pmap(abs, [-3, -1, -2], cli.MAX_JOBS)) == [1, 2, 3]
+    assert started == [3]
+    assert cli._pmap(abs, [-5], cli.MAX_JOBS) == [5] and started == [3]  # one item: no pool
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["theorem1", "--q", "101", "--epsilon", "1e-12"], "--epsilon"),
+        (["theorem1", "--q", "101", "--epsilon", "1e-300"], "--epsilon"),
+        (["theorem2", "--q", "101", "--epsilon", "1e-12"], "--epsilon"),
+        (["theorem1", "--q", "101", "--epsilon", "0"], "--epsilon"),
+        (["theorem2", "--q", "101", "--epsilon", "0"], "--epsilon"),
+        (["theorem2", "--q", "101", "--epsilon=-1/8", "--mode", "ii"], "--epsilon"),
+        (["erdos-scan", "--q", "999983", "--eta", "q^-1/100000"], "--eta"),
+        (["erdos-scan", "--q", "101", "--eta", "q^-1/1000000"], "--eta"),
+        (["theorem3", "--q", "101", "--eta", "q^(-1/1001)"], "--eta"),
+    ],
+)
+def test_exponent_denominators_and_epsilon_sign_rejected_fast(argv, flag, capsys):
+    t0 = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and flag in err[0]
+
+
+def test_exponent_denominator_at_the_ceiling_runs(tmp_path):
+    code, text = run_cli(tmp_path, "e.csv", "erdos-scan", "--q", "101", "--eta", "q^-1/1000")
+    assert code == 0 and text.splitlines()[1] == "101,25,97,3,37"
+
+
 def test_jobs_byte_identical(tmp_path):
     args = ["erdos-scan", "--q-min", "3", "--q-max", "200"]
     _, a = run_cli(tmp_path, "j1.csv", *args, "--jobs", "1")

@@ -242,6 +242,13 @@ def test_euler_product_truncation_stability():
     assert abs(a - b) < 2e-5  # tail terms are O(1/p^2)
 
 
+def test_euler_product_cached_value_is_the_computed_one():
+    z = cmath.exp(2j * cmath.pi / 3)
+    first = euler_product_constant(z)
+    assert euler_product_constant(z) is first
+    assert euler_product_constant.__wrapped__(z) == first
+
+
 def test_scan_report_q5_and_q10007():
     rep = coset_scan_report(5, 1)
     assert rep.details["obstructed"] is True

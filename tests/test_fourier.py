@@ -244,6 +244,29 @@ def test_solution_count_direct_vs_spectral():
         assert rep.offdiag_abs <= rep.offdiag_weil_bound * (1 + 1e-12)
 
 
+def _per_trial_grid_count(w, a, q):
+    """The hyperbola count's spectral side with a q x q index grid built for this one a."""
+    what = np.fft.fft(w.residue_array(q))
+    w0, tail = what[0], what[1:]
+    kl = kloosterman_row(q)[np.multiply.outer(np.arange(1, q), np.arange(1, q) * a % q) % q]
+    offdiag = (tail[:, None] * tail[None, :] * kl).sum()
+    main = (q - 1) * w0 * w0
+    spectral = (main + (-1.0) * (tail.sum() * w0) + (-1.0) * (w0 * tail.sum()) + offdiag) / q**2
+    abs_tail = np.abs(tail)
+    offdiag_abs = float((abs_tail[:, None] * abs_tail[None, :] * np.abs(kl)).sum()) / q**2
+    return float(spectral.real), float((offdiag / q**2).real), offdiag_abs
+
+
+@pytest.mark.parametrize("q", [101, 1009])
+@pytest.mark.parametrize("a", ["1", "2", "q-1"])
+def test_solution_count_shared_grid_is_bit_identical(q, a):
+    # the a = 1 index grid with permuted rows must give the very same floats, not nearly
+    a = {"1": 1, "2": 2, "q-1": q - 1}[a]
+    w = selberg_upper(SieveParams(int(q**0.75), 0.2))
+    rep = solution_count_fourier(w, a, q)
+    assert (rep.spectral, rep.offdiag_exact, rep.offdiag_abs) == _per_trial_grid_count(w, a, q)
+
+
 def test_solution_count_rejects_bad_inputs():
     q = 1009
     w = selberg_upper(SieveParams(int(q**0.75), 0.2))
@@ -270,6 +293,15 @@ def test_grid_routines_reject_q_above_budget_before_allocating(monkeypatch):
     ):
         with pytest.raises(ValueError, match="q x q"):
             call()
+
+
+def test_solution_count_checks_the_unit_before_the_grid(monkeypatch):
+    from primecover import fourier
+
+    monkeypatch.setattr(fourier, "_unit_product_grid", lambda q: pytest.fail("grid built"))
+    w = selberg_upper(SieveParams(int(101**0.75), 0.2))
+    with pytest.raises(ValueError, match="unit"):
+        solution_count_fourier(w, 202, 101)
 
 
 def test_l1_norm_degenerate_delta():

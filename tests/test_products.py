@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primecover import products
-from primecover.coset import is_coset_trapped
+from primecover.coset import coset_obstruction_brute, is_coset_trapped
 from primecover.modular import character_table, mod_inverse
 from primecover.primes import prime_residues
 from primecover.products import (
@@ -16,16 +16,13 @@ from primecover.products import (
     density_report,
     expansion_schedule,
     freiman_dichotomy,
-    invert_set,
     iterated_product,
     iterated_product_chain,
     product_set,
     product_set_naive,
-    quotient_set,
     ruzsa_growth_check,
     solution_count_naive,
     solution_counts_all,
-    subsets_not_coset_trapped,
 )
 from primecover.residues import ResidueSet, from_positions, positions
 
@@ -326,25 +323,62 @@ def test_iterated_product_binary_vs_chain():
                 assert iterated_product(p, k) == iterated_product_chain(p, k)
 
 
+def _invert(a: ResidueSet) -> ResidueSet:
+    table = character_table(a.q)
+    return table.from_dlog(products.invert_set(table.to_dlog(a), table.order))
+
+
+def _quotient(a: ResidueSet) -> ResidueSet:
+    table = character_table(a.q)
+    return table.from_dlog(products.quotient_set(table.to_dlog(a), table.order))
+
+
+def _brute_inverse(a: ResidueSet) -> ResidueSet:
+    return ResidueSet.from_elements(a.q, [mod_inverse(x, a.q) for x in a])
+
+
 def test_quotient_set_examples():
     p = prime_residues(5, 1)
-    assert quotient_set(p).elements() == [1, 4]  # 2*inv(3)=4, 3*inv(2)=4
+    assert _quotient(p).elements() == [1, 4]  # 2*inv(3)=4, 3*inv(2)=4
     g = ResidueSet.full_units(7)
-    assert quotient_set(g) == g
+    assert _quotient(g) == g
     # symmetry: x in Q <=> x^-1 in Q
     a = ResidueSet.from_elements(13, [2, 5, 6])
-    qs = quotient_set(a)
-    assert invert_set(qs) == qs
+    qs = _quotient(a)
+    assert _invert(qs) == qs
     assert 1 in qs
 
 
-@pytest.mark.parametrize("q", (3, 5, 101, 2039))  # 2039 - 1 = 2 * 1019
+NEGATION_MODULI = (3, 5, 11, 13, 101, 2039)  # 2039 - 1 = 2 * 1019
+
+
+@pytest.mark.parametrize("q", NEGATION_MODULI)
 @settings(deadline=None, max_examples=40)
 @given(data=st.data())
 def test_invert_set_vs_mod_inverse(q, data):
     xs = data.draw(st.sets(st.integers(min_value=1, max_value=q - 1)))
     a = ResidueSet.from_elements(q, xs)
-    assert invert_set(a) == ResidueSet.from_elements(q, [mod_inverse(x, q) for x in xs])
+    assert _invert(a) == _brute_inverse(a)
+
+
+@pytest.mark.parametrize("q", NEGATION_MODULI)
+def test_mask_negation_edge_masks(q):
+    n = q - 1
+    assert products.invert_set(0, n) == 0
+    assert products.invert_set((1 << n) - 1, n) == (1 << n) - 1
+    for x in range(1, q):  # every singleton
+        a = ResidueSet.from_elements(q, [x])
+        assert _invert(a) == _brute_inverse(a)
+
+
+@pytest.mark.parametrize("q", (11, 13))
+def test_quotient_cover_vs_naive_every_subset(q):
+    table = character_table(q)
+    for e in range(1, 1 << table.order):
+        a = table.from_dlog(e)
+        naive = product_set_naive(a, _brute_inverse(a))
+        assert _quotient(a) == naive
+        assert freiman_dichotomy(table, e).quotient_covers == naive.covers_units
 
 
 def test_solution_count_examples():
@@ -367,21 +401,39 @@ def test_solution_count_total_and_naive():
 
 def test_freiman_full_group():
     g = ResidueSet.full_units(7)
-    v = freiman_dichotomy(g)
+    table = character_table(7)
+    v = freiman_dichotomy(table, table.to_dlog(g))
     assert v.quotient_covers and not v.trapped and v.holds
 
 
 def test_freiman_trapped_flagged():
     squares = ResidueSet.from_elements(11, [x * x % 11 for x in range(1, 11)])
-    v = freiman_dichotomy(squares)
+    table = character_table(11)
+    v = freiman_dichotomy(table, table.to_dlog(squares))
     assert v.trapped  # proper subgroup: hypothesis fails, flagged not raised
 
 
 def test_freiman_exhaustive_q11():
-    subs = subsets_not_coset_trapped(11)
-    assert subs  # 956 of them
-    for s in subs:
-        assert freiman_dichotomy(s).holds
+    table = character_table(11)
+    verdicts = [freiman_dichotomy(table, e) for e in range(1, 1 << table.order)]
+    untrapped = [v for v in verdicts if not v.trapped]
+    assert len(untrapped) == 956
+    assert all(v.holds for v in untrapped)
+
+
+@pytest.mark.parametrize("q,untrapped", [(11, 956), (13, 3942)])
+def test_dichotomy_mask_enumeration_vs_brute_cosets(q, untrapped):
+    # every nonempty mask is one subset (t -> g^t is a bijection); trapped as the coset sweep says
+    table = character_table(q)
+    seen, count = set(), 0
+    for e in range(1, 1 << table.order):
+        a = table.from_dlog(e)
+        seen.add(a.bits)
+        trapped = freiman_dichotomy(table, e).trapped
+        assert trapped == (coset_obstruction_brute(a) is not None) == is_coset_trapped(a)
+        count += not trapped
+    assert len(seen) == (1 << table.order) - 1
+    assert count == untrapped
 
 
 def test_ruzsa_full_group_equality():
@@ -398,7 +450,7 @@ def test_ruzsa_random_and_small_case():
     while done < 100:
         size = rng.randint(1, q - 1)
         a = ResidueSet.from_elements(q, rng.sample(range(1, q), size))
-        if not quotient_set(a).covers_units:
+        if not _quotient(a).covers_units:
             continue
         rep = ruzsa_growth_check(a)
         assert rep.verdict == "pass"
