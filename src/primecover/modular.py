@@ -1,12 +1,12 @@
 """Exact arithmetic in (Z/qZ)^x for prime q.
 
-Primality is a deterministic Miller-Rabin test (fixed witness set, valid for
-all 64-bit inputs), so nothing downstream is probabilistic.  A CharacterTable
-builds only pow_g[t] = g^t, for the least primitive root g, by doubling
-(pow_g[m:2m] = pow_g[:m] * g^m mod q, log2(q) numpy steps).  Its set codec
-(`to_dlog`, `member_logs`, `from_dlog`) permutes bit flags through pow_g, so
-the discrete-log table is built only on first use, like the (q-1)-th roots of
-unity that characters are evaluated from.
+Primality is a deterministic Miller-Rabin test (bases 2, 3 below 1,373,653, a
+fixed set of twelve above: every 64-bit n), so nothing downstream is
+probabilistic.  A CharacterTable builds only pow_g[t] = g^t, for the least
+primitive root g, by doubling (pow_g[m:2m] = pow_g[:m] * g^m mod q, log2(q)
+numpy steps).  Its set codec (`to_dlog`, `member_logs`, `from_dlog`) permutes
+bit flags through pow_g, so the discrete-log table is built only on first
+use, like the (q-1)-th roots of unity that characters are evaluated from.
 
 The CharacterTable is the validated form of a modulus: `modulus_value`
 rejects anything but an odd prime 3 <= q <= 10^6 (the scale ceiling is
@@ -15,6 +15,7 @@ allocation), and it runs where `character_table(q)` builds the table.
 Everything that reads a table takes q from it; the public functions that
 never build one call `modulus_value` themselves.  It is memoised, so a q
 checked without a table and then given one is tested for primality once.
+`character_table` keeps one table alive: a miss frees the kept one first.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .residues import ResidueSet, from_positions, pack, unpack
 
 # Deterministic Miller-Rabin witnesses for every n < 3.3 * 10^24 (covers 64-bit).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_TWO_BASES_BELOW = 1_373_653  # where 2 and 3 alone suffice (Pomerance, Selfridge, Wagstaff)
 
 
 def is_prime(n: int) -> bool:
@@ -40,7 +42,7 @@ def is_prime(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[:2] if n < _MR_TWO_BASES_BELOW else _MR_WITNESSES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -184,10 +186,34 @@ class CharacterTable:
         return out
 
 
-@functools.lru_cache(maxsize=1)  # scans use each table once; a miss holds 2 tables, not 3
+# lru_cache(maxsize=1)'s counts, but a miss drops the kept table before it builds: at q ~ 10^6
+# one 8 MB pow_g is alive, not two, and the new one reuses the pages the old one freed.
+_kept: tuple[int, CharacterTable] | None = None  # (argument, table) of the last build
+_hits = _misses = 0
+
+
 def character_table(q: int) -> CharacterTable:
-    """Shared per-modulus CharacterTable (tables are immutable)."""
-    return CharacterTable(q)
+    """Shared per-modulus CharacterTable (tables are immutable); only the last is kept."""
+    global _kept, _hits, _misses
+    kept = _kept
+    if kept is not None and kept[0] == q:
+        _hits += 1
+        return kept[1]
+    _misses += 1
+    modulus_value(q)  # a refused q leaves the kept table in place, as lru_cache does
+    _kept = kept = None  # the local too, or the old table outlives the build
+    table = CharacterTable(q)
+    _kept = (q, table)
+    return table
+
+
+def _clear_tables() -> None:
+    global _kept, _hits, _misses
+    _kept, _hits, _misses = None, 0, 0
+
+
+character_table.cache_info = lambda: functools._CacheInfo(_hits, _misses, 1, int(_kept is not None))
+character_table.cache_clear = _clear_tables
 
 
 @dataclass(frozen=True)

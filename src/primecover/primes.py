@@ -145,7 +145,7 @@ def prime_residues(q: int, eta: Eta | float | Fraction | int | str = 1) -> Resid
     return ResidueSet(qv, from_positions(primes_below(top), qv))
 
 
-# spf takes 8 bytes per n and Omega, nu one each; at 10^7 omega-sum peaks near 0.3 GB
+# int32 spf takes 4 bytes per n and Omega, nu one each; at 10^7 omega-sum peaks near 0.27 GB
 FACTOR_SIEVE_MAX = 10**7
 
 
@@ -158,7 +158,7 @@ class FactorSieve:
         if limit > FACTOR_SIEVE_MAX:
             raise ValueError(f"factor sieve budget is x <= 10^7, got x = {limit}")
         self.limit = limit
-        spf = np.zeros(limit + 1, dtype=np.int64)
+        spf = np.zeros(limit + 1, dtype=np.int32)
         for p in range(2, isqrt_floor(limit, 2) + 1):
             if spf[p] == 0:
                 block = spf[p * p :: p]

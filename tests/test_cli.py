@@ -352,6 +352,35 @@ def test_seed_only_on_audit(argv, capsys):
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["theorem2", "--q", "101", "--epsilon", "-1/8"], "--epsilon"),  # -1/8 reads as an option
+        (["erdos-scan", "--q", "abc"], "--q"),
+    ],
+)
+def test_argparse_refusal_is_one_error_line(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and flag in err[0]
+
+
+def test_cached_parser_leaks_no_option_between_calls(tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    code, text = run_cli(tmp_path, "a", "erdos-scan", "--q", "101", "--format", "json")
+    assert code == 0 and json.loads(text)[0]["q"] == 101
+    code, text = run_cli(tmp_path, "b", "erdos-scan", "--q", "101")
+    assert code == 0 and text.startswith("q,prime_count,")
+
+
+def test_omega_sum_default_x_survives_two_calls(tmp_path):
+    outputs = [run_cli(tmp_path, "o.csv", "omega-sum") for _ in range(2)]
+    assert outputs[0] == outputs[1] and outputs[0][1].splitlines()[1].startswith("100000,")
+    assert cli.build_parser().parse_args(["omega-sum"]).x == (10**5,)
+
+
 def test_json_rows_floats_match_csv_cells(tmp_path):
     argv = ["omega-sum", "--x", "100", "1000", "--z", "1/3"]
     _, csv_text = run_cli(tmp_path, "o.csv", *argv)

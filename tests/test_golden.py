@@ -19,6 +19,11 @@ CASES = json.loads(GOLDEN.read_text(encoding="utf-8"))
 COMMANDS = (
     ["audit", "all", "--seed", "0"],
     ["audit", "all", "--seed", "3", "--format", "json"],
+    ["erdos-scan", "--q-min", "3", "--q-max", "3000"],
+    ["erdos-scan", "--q-min", "999900", "--q-max", "1000000"],
+    ["coset-scan", "--q-min", "3", "--q-max", "20000"],
+    ["erdos-scan", "--q", "999983", "--eta", "1/10"],
+    ["omega-sum", "--x", "10000", "100000", "1000000"],
 )
 
 

@@ -1,4 +1,5 @@
 import functools
+import weakref
 
 import numpy as np
 import pytest
@@ -43,6 +44,19 @@ def test_is_prime_large_pairs():
     assert is_prime(2**31 - 1)
     assert not is_prime(2**32 + 1)  # 641 * 6700417
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
+
+
+def test_is_prime_vs_sieve_to_a_million():
+    # bases 2 and 3 decide every n below 1,373,653; about 1 s for the million calls
+    n = 10**6
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, 1001):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    assert [is_prime(k) for k in range(n + 1)] == sieve.tolist()
+    assert not is_prime(1_373_653)  # 829 * 1657, a strong pseudoprime to bases 2 and 3
+    assert is_prime(1_373_677)  # the next prime, past the two-base bound
 
 
 @pytest.mark.parametrize(
@@ -186,6 +200,41 @@ def test_dlog_codec_vs_eager_oracle(q, seed, density):
     ks = {k for k in range(q - 1) if rng.random() < density}
     members = [a for a in units if dlog[a] in ks]
     assert t.from_dlog(sum(1 << k for k in ks)) == ResidueSet.from_elements(q, members)
+
+
+def test_character_table_counts_as_lru_cache_of_one():
+    reference = functools.lru_cache(maxsize=1)(modulus_value)
+    rng = np.random.default_rng(18)
+    moduli = [int(q) for q in rng.choice([3, 5, 7, 15, 101, 103, 1000003], 300)]
+    character_table.cache_clear()
+    for q in moduli:
+        try:
+            reference(q)
+        except ValueError:
+            with pytest.raises(ValueError, match="modulus"):
+                character_table(q)
+        else:
+            assert character_table(q).q == q
+        assert character_table.cache_info() == reference.cache_info()
+    character_table.cache_clear()
+    assert character_table.cache_info() == (0, 0, 1, 0)
+
+
+def test_old_power_table_freed_before_next_build(monkeypatch):
+    build, tables, alive = CharacterTable.__init__, [], []
+
+    def init(self, q):
+        alive.append([t() is not None for t in tables])
+        build(self, q)
+        tables.append(weakref.ref(self.pow_g))  # the table has __slots__; its array does not
+
+    monkeypatch.setattr(CharacterTable, "__init__", init)
+    character_table.cache_clear()
+    for q in (101, 101, 999983, 999979, 999983):
+        assert character_table(q).q == q
+    assert alive == [[], [False], [False, False], [False, False, False]]
+    assert character_table.cache_info().misses == 4
+    character_table.cache_clear()
 
 
 def test_product_engine_never_builds_dlog():
