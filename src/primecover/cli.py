@@ -16,12 +16,13 @@ import cmath
 import functools
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
 import numpy as np
 
-from . import audits, coset, fourier, products, sieves
+from . import audits, coset, products, sieves
 from .modular import MAX_MODULUS, character_table, modulus_value, primes_in_range
 from .primes import ETA_MAX_DENOMINATOR, Eta, parse_fraction, prime_residues
 from .reports import AuditReport, _clean, _csv_cell, reports_to_csv, reports_to_json
@@ -141,9 +142,10 @@ def cmd_theorem1(args) -> int:
 
 
 def _convolution_positivity(
-    q: int, eta: Eta, xi: float | None, delta: float, gamma: float
+    p: ResidueSet, eta: Eta, xi: float | None, delta: float, gamma: float
 ) -> AuditReport:
     """Pointwise positivity of w- * 1_P * 1_P, computed exactly on the group."""
+    q = p.q
     x = min(eta.largest_admitted(q), q - 1)
     log_eta = math.log(eta.value_at(q)) / math.log(q)
     xi_ceiling = (0.25 + log_eta) / (1 + log_eta) - delta / 2
@@ -157,19 +159,20 @@ def _convolution_positivity(
             )
         xi = 0.95 * xi_ceiling
     w = sieves.linear_lower(sieves.SieveParams(x, xi, delta=delta, gamma=gamma))
-    table = character_table(q)
+    # every lambda_d of w- is +-1, so w- is integral, and w- * r, with r(b) the number of
+    # (y, z) in P^2 with yz = b, is an exact integer convolution over the discrete logs
+    pow_g = character_table(q).pow_g
     warr = w.residue_array(q)
-    warr[0] = 0.0
-    pind = np.zeros(q)
-    pind[prime_residues(q, eta).elements()] = 1.0
-    conv = fourier.mult_convolve(fourier.mult_convolve(warr, pind, table), pind, table).real
-    units = np.arange(1, q)
-    min_val = float(conv[units].min())
-    witnesses = [int(a) for a in units[conv[units] <= 1e-9][:8]]
+    conv = np.zeros(q, dtype=np.int64)
+    conv[pow_g] = products._cyclic_counts(
+        warr[pow_g], products.solution_counts_all(p)[pow_g], int(warr[1:].sum()) * len(p) ** 2
+    )
+    units = conv[1:]
+    witnesses = (np.flatnonzero(units <= 0)[:8] + 1).tolist()
     return AuditReport(
         name="almost-prime.convolution-positivity",
         params={"q": q, "eta": eta.label(), "xi": xi, "delta": delta},
-        computed=min_val,
+        computed=float(units.min()),
         bound=0.0,
         verdict="recorded",
         witness=witnesses or None,
@@ -192,48 +195,25 @@ def cmd_theorem2(args) -> int:
             f"(got --q {q}, --epsilon {eps})"
         )
 
-    p = prime_residues(q, eta)
-    reports = []
-    if not p:
-        reports.append(
-            AuditReport(
-                name="almost-prime.six-fold-cover",
-                params={"q": q, "eta": eta.label()},
-                verdict="recorded",
-                details={"note": "P_eta is empty at this scale"},
-            )
-        )
-    else:
-        cover_k, union = products.six_fold_cover(p)
-        missing = union.complement_units()
-        reports.append(
-            AuditReport(
-                name="almost-prime.six-fold-cover",
-                params={"q": q, "eta": eta.label(), "mode": args.mode},
-                computed=float(cover_k) if cover_k else None,
-                bound=float(products.COVER_FACTORS),
-                verdict="recorded",
-                witness=missing.elements()[:8] or None,
-                details={
-                    "covered": union.covers_units,
-                    "min_cover_k": cover_k,
-                    "missing_count": len(missing),
-                    "prime_count": len(p),
-                },
-            )
-        )
-    if q <= 10**4:
-        reports.append(_convolution_positivity(q, eta, args.xi, args.delta, args.gamma))
-    else:
-        reports.append(
-            AuditReport(
-                name="almost-prime.convolution-positivity",
-                params={"q": q},
-                verdict="recorded",
-                details={"note": "skipped: dense convolution budgeted for q <= 10^4"},
-            )
-        )
-    return _emit_reports(args, reports)
+    p = prime_residues(q, eta)  # min(eta*q, q - 1) >= 4 puts 2 and 3 in P
+    cover_k, union = products.six_fold_cover(p)
+    missing = union.complement_units()
+    cover = AuditReport(
+        name="almost-prime.six-fold-cover",
+        params={"q": q, "eta": eta.label(), "mode": args.mode},
+        computed=float(cover_k) if cover_k else None,
+        bound=float(products.COVER_FACTORS),
+        verdict="recorded",
+        witness=missing.elements()[:8] or None,
+        details={
+            "covered": union.covers_units,
+            "min_cover_k": cover_k,
+            "missing_count": len(missing),
+            "prime_count": len(p),
+        },
+    )
+    positivity = _convolution_positivity(p, eta, args.xi, args.delta, args.gamma)
+    return _emit_reports(args, [cover, positivity])
 
 
 def _min_covering_exponent(p: ResidueSet, trace: products.ExpansionTrace) -> int:
@@ -387,11 +367,16 @@ def cmd_audit(args) -> int:
 # parser
 
 
+def _refusal(message: str) -> str:
+    """One `error:` line; an echoed number of more than 20 digits shows as its digit count."""
+    return "error: " + re.sub(r"\d{21,}", lambda m: f"<{len(m[0])}-digit number>", message) + "\n"
+
+
 class _Parser(argparse.ArgumentParser):
     """Refuses a command line with one `error:` line and exit 2, like every other refusal."""
 
     def error(self, message: str):
-        self.exit(2, f"error: {message}\n")
+        self.exit(2, _refusal(message))
 
 
 @functools.cache  # one parser per process: a rebuild costs about 1.5 ms per main() call
@@ -474,7 +459,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        sys.stderr.write(_refusal(str(exc)))
         return 2
     except Exception as exc:  # a broken invariant or any other bug: never a failed bound
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -294,20 +294,13 @@ class SolutionCountReport:
     """Dual evaluation of sum_n w(n) w(a n^-1) with the frequency-side split.
 
     The off-diagonal block (both frequencies nonzero) is reported exactly, as
-    an absolute sum, and re-bounded through |Kl2| <= 2*sqrt(q); the two axis
-    blocks (one frequency zero, Ramanujan sums of size 1) carry their
-    absolute ceilings alongside the exact values.
+    an absolute sum, and re-bounded through |Kl2| <= 2*sqrt(q).
     """
 
     q: int
     a: int
     direct: float
     spectral: float
-    main_term: float
-    cross_r: float
-    cross_s: float
-    cross_r_abs_bound: float
-    cross_s_abs_bound: float
     offdiag_exact: float
     offdiag_abs: float
     offdiag_weil_bound: float
@@ -361,7 +354,6 @@ def solution_count_fourier(w: SieveWeights, a: int, q: int) -> SolutionCountRepo
 
     offdiag_abs = float(abs_terms.sum()) / qv**2
     weil_bound = float(abs_tail.sum()) ** 2 * 2.0 * math.sqrt(qv) / qv**2
-    axis_bound = float(abs(w0)) * float(abs_tail.sum()) / qv**2
 
     spectral_real = float(spectral.real)
     rel_gap = abs(direct - spectral_real) / max(1.0, abs(direct))
@@ -370,11 +362,6 @@ def solution_count_fourier(w: SieveWeights, a: int, q: int) -> SolutionCountRepo
         a=a,
         direct=direct,
         spectral=spectral_real,
-        main_term=float((main / qv**2).real),
-        cross_r=float((cross_r / qv**2).real),
-        cross_s=float((cross_s / qv**2).real),
-        cross_r_abs_bound=axis_bound,
-        cross_s_abs_bound=axis_bound,
         offdiag_exact=float((offdiag / qv**2).real),
         offdiag_abs=offdiag_abs,
         offdiag_weil_bound=weil_bound,

@@ -25,15 +25,15 @@ sumset e + (-e), where -e is e's n-bit reversal rotated left once, so the
 doubling dichotomy and the square-root rule decode no set, and an exhaustive
 dichotomy check enumerates masks directly.
 
-Both integer convolutions, the FFT sumset and `solution_counts_all`, go
-through one kernel, `_cyclic_counts`.  It zero-pads the length-(q-1)
-indicators to `_fast_len(2(q-1) - 1)`, the least 2^a * 3^b * 5^c that long,
-so no `numpy.fft` transform runs at q - 1 itself, whose large prime factors
-would send the FFT to Bluestein (3-4x slower near q = 10^6); the linear
-convolution's tail is then wrapped back onto its head.  Squaring a set, as
-every pair-product row and every expansion step does, takes one forward
-transform instead of two.  The counts must come out integral and total
-|A| * |B|, or the kernel raises.
+Every integer convolution, the FFT sumset, `solution_counts_all` and
+theorem2's positivity certificate, goes through one kernel, `_cyclic_counts`.
+It zero-pads the length-(q-1) arrays to `_fast_len(2(q-1) - 1)`, the least
+2^a * 3^b * 5^c that long, so no `numpy.fft` transform runs at q - 1 itself,
+whose large prime factors would send the FFT to Bluestein (3-4x slower near
+q = 10^6); the linear convolution's tail is then wrapped back onto its head.
+Squaring a set, as every pair-product row and every expansion step does,
+takes one forward transform instead of two.  The result must come out integral and add up to
+its known total (|A| * |B| for a sumset), or the kernel raises.
 
 All pair counts use ORDERED pairs throughout.
 """
@@ -88,14 +88,18 @@ def _fast_len(m: int) -> int:
 
 
 def _cyclic_counts(a: np.ndarray, b: np.ndarray, total: int) -> np.ndarray:
-    """Exact cyclic convolution of two 0/1 float indicators of length n.
+    """Exact cyclic convolution of two integer-valued arrays of length n.
 
+    The inputs may be signed: 0/1 indicators for the sumsets and pair counts,
+    and theorem2's lower-sieve weights (sums of +-1 coefficients) against the
+    pair counts.
     The linear convolution is zero-padded to a fast length >= 2n - 1, so no
     transform runs at an awkward length n (a large prime factor in n sends a
     length-n FFT to Bluestein), and its tail is wrapped back onto the head.
-    Squaring (`b is a`) takes one forward transform.  Counts are nonnegative
-    integers below n, far above the float64 FFT noise floor at this scale; the
-    integrality check and the check that the counts add up to `total` make
+    Squaring (`b is a`) takes one forward transform.  The largest drift from
+    integers measured is 7e-12 for pair counts and 8e-7 for theorem2's
+    convolution near q = 10^6, far below the 1e-2 at which the integrality
+    check raises; it and the check that the result adds up to `total` make
     any drift a hard failure rather than a wrong answer.
     """
     n = len(a)

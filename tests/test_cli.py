@@ -5,11 +5,13 @@ import sys
 import time
 from unittest import mock
 
+import numpy as np
 import pytest
 
 import primecover
-from primecover import cli, modular, products
+from primecover import cli, fourier, modular, products, sieves
 from primecover.cli import main
+from primecover.primes import prime_residues
 
 
 def run_cli(tmp_path, name, *argv):
@@ -463,3 +465,101 @@ def test_commands_import_neither_scipy_nor_a_process_pool():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+_BIG = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["erdos-scan", "--q", _BIG],
+        ["erdos-scan", "--q", "101", "--eta", "1e400"],
+        ["erdos-scan", "--q", "101", "--eta", "q^1e400"],
+        ["omega-sum", "--x", _BIG],
+    ],
+)
+def test_refusal_of_an_unbounded_number_is_one_short_line(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and len(err[0]) < 120
+    assert err[0].endswith("<401-digit number>")
+
+
+def _naive_certificate(w, p):
+    """theorem2's minimum and witnesses from the double-loop convolution, applied twice."""
+    q = p.q
+    warr = w.residue_array(q)
+    pind = np.zeros(q)
+    pind[p.elements()] = 1.0
+    conv = fourier.mult_convolve_naive(fourier.mult_convolve_naive(warr, pind, q), pind, q).real
+    units = conv[1:]
+    return float(units.min()), (np.flatnonzero(units <= 0)[:8] + 1).tolist() or None
+
+
+def _certificate_cases(monkeypatch, tmp_path, qs, settings):
+    """(report, naive (min, witnesses)) per theorem2 run, from the weights that run built."""
+    built = []
+    lower = sieves.linear_lower
+    monkeypatch.setattr(sieves, "linear_lower", lambda prm: built.append(lower(prm)) or built[-1])
+    for q in qs:
+        for setting in settings:
+            argv = ["theorem2", "--q", str(q), *setting, "--format", "json"]
+            code, text = run_cli(tmp_path, "t2.json", *argv)
+            assert code == 0
+            cover, positivity = json.loads(text)
+            p = prime_residues(q, cover["params"]["eta"])
+            yield positivity, _naive_certificate(built[-1], p)
+
+
+def test_theorem2_certificate_vs_naive_convolution(monkeypatch, tmp_path):
+    settings = (["--mode", "i"], ["--mode", "ii"], ["--mode", "ii", "--epsilon", "1/8"])
+    cases = 0
+    for rep, (low, witnesses) in _certificate_cases(
+        monkeypatch, tmp_path, modular.primes_in_range(5, 211), settings
+    ):
+        assert (rep["computed"], rep["witness"]) == (low, witnesses)
+        assert rep["details"]["positive_everywhere"] is (witnesses is None)
+        cases += 1
+    assert cases == 3 * 45  # the primes 5..211
+
+
+_WEIGHT_EDITS = {
+    "negated": lambda f: -f,  # every unit negative
+    "zero": lambda f: 0 * f,  # every unit exactly 0
+    # -1 off residue 1 and q^2 on it: w- * r(a) = (q^2 + 1) r(a) - |P|^2 <= 0 iff a is not in P.P
+    "spike": lambda f: np.where(np.arange(len(f)) == 1, len(f) ** 2, -1.0),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_WEIGHT_EDITS))
+def test_theorem2_certificate_witnesses_vs_naive(edit, monkeypatch, tmp_path):
+    real = sieves.SieveWeights.residue_array
+    monkeypatch.setattr(
+        sieves.SieveWeights, "residue_array", lambda w, q: _WEIGHT_EDITS[edit](real(w, q))
+    )
+    setting = ["--mode", "ii", "--epsilon", "1/8"]  # P.P misses 17 residues at 101, 21 at 211
+    for rep, (low, witnesses) in _certificate_cases(monkeypatch, tmp_path, (101, 211), (setting,)):
+        assert rep["details"]["positive_everywhere"] is False
+        assert (rep["computed"], rep["witness"]) == (low, witnesses)
+        if edit == "spike":
+            p = prime_residues(rep["params"]["q"], "q^-1/8")
+            missing = products.product_set(p, p).complement_units().elements()
+            assert witnesses == missing[:8] and witnesses[0] == 11
+        else:
+            assert witnesses == list(range(1, 9))
+
+
+def test_theorem2_non_integral_weights_are_an_internal_error(monkeypatch, capsys):
+    real = sieves.SieveWeights.residue_array
+    monkeypatch.setattr(sieves.SieveWeights, "residue_array", lambda w, q: real(w, q) + 0.5)
+    assert main(["theorem2", "--q", "101", "--mode", "ii"]) == 3  # |P| = 25: sums land on halves
+    assert capsys.readouterr().err.startswith("internal error: AssertionError")
+
+
+def test_theorem2_certificate_at_the_ceiling(tmp_path):
+    argv = ["theorem2", "--q", "999983", "--mode", "ii", "--format", "json"]
+    code, text = run_cli(tmp_path, "t2.json", *argv)
+    assert code == 0
+    _, positivity = json.loads(text)
+    assert positivity["details"]["positive_everywhere"] is True and positivity["computed"] > 0

@@ -24,6 +24,18 @@ COMMANDS = (
     ["coset-scan", "--q-min", "3", "--q-max", "20000"],
     ["erdos-scan", "--q", "999983", "--eta", "1/10"],
     ["omega-sum", "--x", "10000", "100000", "1000000"],
+    ["theorem1", "--q", "100003"],
+    ["theorem2", "--q", "101"],
+    ["theorem2", "--q", "101", "--mode", "ii", "--format", "json"],
+    ["theorem2", "--q", "9973", "--mode", "ii", "--format", "json"],
+    ["theorem2", "--q", "100003", "--mode", "ii", "--format", "json"],
+    ["theorem2", "--q", "999983", "--mode", "ii", "--format", "json"],
+    *(
+        ["theorem3", "--q", q, "--eta", eta, "--format", "json"]
+        for q in ("5", "13", "10007", "100003", "999983")
+        for eta in ("1", "q^-1/4", "q^-1/2")
+    ),
+    ["density", "--q", "999983", "--eta", "1/5"],
 )
 
 

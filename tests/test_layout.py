@@ -25,8 +25,6 @@ ORACLES = (
     "solution_count_naive",
     "kloosterman",
     "mod_inverse",
-    # a per-layer benchmark metric names its span; it goes with that metric
-    "solution_counts_all",
 )
 
 

@@ -294,6 +294,22 @@ def test_cyclic_counts_vs_integer_convolution(q, seed, da, db):
         _cyclic_counts(fa, fb, int(a.sum()) * int(b.sum()) + 1)
 
 
+@pytest.mark.parametrize("q", (3, 5, 13, 2039, 10007))
+@pytest.mark.parametrize("seed", range(4))
+def test_cyclic_counts_signed_weights_vs_integer_convolution(q, seed):
+    """theorem2's shape: signed integer weights against nonnegative pair counts."""
+    from primecover.products import _cyclic_counts
+
+    n = q - 1
+    rng = np.random.default_rng(seed)
+    w = rng.integers(-3, 3, n)  # mean -1/2: the convolution has entries of both signs
+    r = rng.integers(0, 2 * seed + 2, n)
+    got = _cyclic_counts(w.astype(float), r.astype(float), int(w.sum()) * int(r.sum()))
+    want = _cyclic_oracle(w, r)
+    assert got.dtype == np.int64 and got.tolist() == want.tolist()
+    assert (want <= 0).any()
+
+
 def test_product_commutative_associative():
     rng = random.Random(3)
     for q in (11, 61, 101):
