@@ -123,7 +123,7 @@ def cmd_erdos_scan(args) -> int:
 
 def _epsilon_exponent(text: str, base: Fraction) -> tuple[Fraction, Fraction]:
     """--epsilon > 0 and the eta exponent base + epsilon, refused before any power is taken."""
-    eps = parse_fraction(text)
+    eps = parse_fraction(text, "--epsilon")
     if eps <= 0 or (base + eps).denominator > ETA_MAX_DENOMINATOR:
         raise ValueError(
             f"--epsilon must be > 0, with {base} + epsilon of denominator <= {ETA_MAX_DENOMINATOR}"
@@ -216,24 +216,6 @@ def cmd_theorem2(args) -> int:
     return _emit_reports(args, [cover, positivity])
 
 
-def _min_covering_exponent(p: ResidueSet, trace: products.ExpansionTrace) -> int:
-    """Least k with P^(k) = units, by bisection below the squaring trace's cover.
-
-    The trace's final exponent is the least power of two that covers, so P at
-    half of it does not; bisection between the two is valid because covering
-    is upward-monotone in k (multiplying the full group by anything keeps it
-    full).
-    """
-    lo, hi = trace.final_exponent // 2, trace.final_exponent
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if products.iterated_product(p, mid).covers_units:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def cmd_theorem3(args) -> int:
     """Minimal covering exponent for P_eta, against the theoretical 48."""
     if args.k is not None and args.k < 1:
@@ -258,7 +240,7 @@ def cmd_theorem3(args) -> int:
         )
         return _emit_reports(args, [rep])
     trace = products.expansion_schedule(p)
-    k_min = _min_covering_exponent(p, trace)
+    k_min = trace.min_exponent
     details = {
         "obstructed": False,
         "prime_count": len(p),
@@ -269,10 +251,7 @@ def cmd_theorem3(args) -> int:
         "theoretical_exponent": trace.theoretical_exponent,
     }
     if args.k is not None:
-        details["covers_at_k"] = {
-            "k": args.k,
-            "covers": products.iterated_product(p, args.k).covers_units,
-        }
+        details["covers_at_k"] = {"k": args.k, "covers": args.k >= k_min}  # monotone in k
     rep = AuditReport(
         name="covering.min-exponent",
         params={"q": q, "eta": eta.label()},
@@ -336,8 +315,11 @@ OMEGA_COLUMNS = (
 
 def cmd_omega_sum(args) -> int:
     """Partial sums of z^Omega(n) against the main term, z = e(2*pi*i*a/b)."""
-    rot = parse_fraction(args.z)
-    z = cmath.exp(2j * cmath.pi * float(rot))
+    rot = parse_fraction(args.z, "--z")
+    try:
+        z = cmath.exp(2j * cmath.pi * float(rot))
+    except (OverflowError, ValueError):  # float(rot), or 2 * pi * rot, overflows
+        raise ValueError("--z must be a rotation a/b with 2*pi*a/b in a float's range") from None
     rows = []
     for x in args.x:
         r = coset.omega_power_sum(z, x)

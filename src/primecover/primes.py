@@ -9,6 +9,7 @@ table per run, from which Omega and nu are filled eagerly by doubling.
 
 from __future__ import annotations
 
+import re
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,8 +46,11 @@ def primes_below(x: int) -> np.ndarray:
     return ps[: int(np.searchsorted(ps, x, side="right"))]
 
 
-def parse_fraction(text: str) -> Fraction:
-    """A decimal or a/b given on the command line; a zero denominator is a ValueError."""
+def parse_fraction(text: str, flag: str) -> Fraction:
+    """A decimal or a/b from the command line; a zero denominator is a ValueError, and so is a
+    text past 1000 characters or an exponent past 3 digits, before `Fraction` builds 10^N."""
+    if len(text) > 1000 or re.search(r"[eE][-+]?[0_]*(?!0)\d(_?\d){3}", text):
+        raise ValueError(f"{flag} takes at most 1000 characters and a decimal exponent below 1000")
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -96,8 +100,8 @@ class Eta:
             expo = s[2:].strip()
             if expo.startswith("(") and expo.endswith(")"):
                 expo = expo[1:-1]
-            return cls.power(parse_fraction(expo))
-        return cls.literal(parse_fraction(s))
+            return cls.power(parse_fraction(expo, "--eta"))
+        return cls.literal(parse_fraction(s, "--eta"))
 
     @classmethod
     def coerce(cls, eta: Eta | float | Fraction | int | str) -> Eta:

@@ -16,9 +16,10 @@ cost: ~10 numpy calls, a loss below n ~ 2 * 10^4).  An A within
 P_1 * P_1 near q = 10^6 about 200 of 510).  Only a group still not full goes
 to the FFT sumset.  If |A| + |B| > q - 1 the sumset is the whole group by
 pigeonhole (for any u, A and u - B must intersect), which short-circuits the
-saturated tail of an expansion run.  `product_set_naive`, the
-definition-chasing double loop, is kept only as the oracle the tests compare
-against.
+saturated tail of an expansion run.  Powers of P stay masks: `expansion_schedule`
+reads the least covering exponent off its own squaring chain, and `six_fold_cover`
+decodes once.  `product_set_naive` (a double loop) and `iterated_product`
+(square-and-multiply) are kept only as the oracles the tests compare against.
 
 `quotient_set` and `invert_set` work on discrete-log masks: A * A^-1 is the
 sumset e + (-e), where -e is e's n-bit reversal rotated left once, so the
@@ -235,15 +236,15 @@ def six_fold_cover(p: ResidueSet) -> tuple[int | None, ResidueSet]:
     Stops at the first cover, since later products cannot grow the whole
     group; (None, the union up to P^(COVER_FACTORS)) when none covers.
     """
-    union = ResidueSet.empty(p.q)
-    cur = p
-    for k in range(1, COVER_FACTORS + 1):
-        if k > 1:
-            cur = product_set(cur, p)
-        union = union | cur
-        if union.covers_units:
-            return k, union
-    return None, union
+    table = character_table(p.q)
+    n = table.order
+    full = (1 << n) - 1
+    base = cur = union = table.to_dlog(p)
+    k = 1
+    while union != full and k < COVER_FACTORS:
+        cur = _sumset_exp(cur, base, n)
+        union, k = union | cur, k + 1
+    return (k if union == full else None), table.from_dlog(union)
 
 
 def invert_set(e: int, n: int) -> int:
@@ -362,6 +363,7 @@ class ExpansionTrace:
     q: int
     steps: tuple[ExpansionStep, ...]
     final_exponent: int
+    min_exponent: int  # the least k with A^(k) the whole group
     theoretical_exponent = 8  # a class constant: the density >= 1/4 schedule's exponent
 
     @property
@@ -383,19 +385,21 @@ def expansion_schedule(a: ResidueSet) -> ExpansionTrace:
     """Square the set until it covers the group, labelling each growth step.
 
     The exponent doubles from 1 with each squaring, so the final exponent is
-    the least power of two k with A^(k) the whole group.  The rule labels are
-    descriptive -- the strongest growth rule the observed sizes certify -- and
-    never feed back into control flow.  The theoretical exponent follows the
-    density >= 1/4 schedule: two 3/2-steps then one past-half squaring, i.e. 8.
+    the least power of two 2^j with A^(2^j) the whole group.  The least exponent
+    comes by binary descent in j - 1 sumsets: from A^(2^(j-1)), multiply by each
+    kept A^(2^i), i = j-2 .. 0, keeping the product while it falls short (covering
+    is upward-monotone in k).  The rule labels are descriptive -- the strongest
+    growth rule the observed sizes certify -- and never feed back into control
+    flow.  The theoretical exponent follows the density >= 1/4 schedule: two
+    3/2-steps then one past-half squaring, i.e. 8.
     """
     if not a:
         raise ValueError("expansion needs a nonempty set")
     if is_coset_trapped(a):
         raise ValueError("set is trapped in a proper coset; its powers never cover the group")
     q = a.q
-    g = q - 1
+    g = n = q - 1
     table = character_table(q)
-    n = g
     mask = (1 << n) - 1
 
     e = table.to_dlog(a)
@@ -403,16 +407,23 @@ def expansion_schedule(a: ResidueSet) -> ExpansionTrace:
     steps: list[ExpansionStep] = []
     if e == mask:
         steps.append(ExpansionStep(g, RULE_COMPLETE, g, k))
-        return ExpansionTrace(q, tuple(steps), k)
+        return ExpansionTrace(q, tuple(steps), k, k)
+    powers = []  # A^(2^i) for each squaring so far, none of them the whole group
     max_steps = math.ceil(math.log2(q)) + 4
     for _ in range(max_steps):
+        powers.append(e)
         before = e.bit_count()
         e = _sumset_exp(e, e, n)
         k *= 2
         after = e.bit_count()
         steps.append(ExpansionStep(before, _certified_rule(before, after, g), after, k))
         if e == mask:
-            return ExpansionTrace(q, tuple(steps), k)
+            short, short_k = powers.pop(), k // 2  # the largest exponent known to fall short
+            for i in reversed(range(len(powers))):
+                trial = _sumset_exp(short, powers[i], n)
+                if trial != mask:
+                    short, short_k = trial, short_k + (1 << i)
+            return ExpansionTrace(q, tuple(steps), k, short_k + 1)
     raise RuntimeError(
         f"no cover after {max_steps} squarings (q={q}); this cannot happen for untrapped sets"
     )

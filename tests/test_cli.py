@@ -12,6 +12,7 @@ import primecover
 from primecover import cli, fourier, modular, products, sieves
 from primecover.cli import main
 from primecover.primes import prime_residues
+from primecover.products import iterated_product
 
 
 def run_cli(tmp_path, name, *argv):
@@ -101,8 +102,8 @@ def test_theorem3_small_exponent_q13(tmp_path):
 
 
 def test_theorem3_squares_once(tmp_path):
-    # the squaring trace covers at P^8, so bisection tries P^6 and P^5 (3 products each)
-    # after its 3 squarings; P^1, P^2, P^4 and P^8 are not computed a second time
+    # the squaring trace covers at P^8 after 3 squarings; the descent then tries P^4 * P^2
+    # and P^4 * P, both full, so k = 4 + 1 in 2 more products, and no power is rebuilt
     with (
         mock.patch.object(products, "_sumset_exp", wraps=products._sumset_exp) as sumset,
         mock.patch.object(products, "_sumset_exp_fft", wraps=products._sumset_exp_fft) as fft,
@@ -114,7 +115,7 @@ def test_theorem3_squares_once(tmp_path):
     rep = json.loads(text)[0]
     assert rep["computed"] == 5.0
     assert [s["k"] for s in rep["details"]["doubling_trace"]] == [2, 4, 8]
-    assert sumset.call_count == 9
+    assert sumset.call_count == 5
     assert fft.call_count == 0
 
 
@@ -173,6 +174,19 @@ def test_theorem3_specific_k_flag(tmp_path):
     )
     rep = json.loads(text)[0]
     assert rep["details"]["covers_at_k"] == {"k": 2, "covers": False}
+
+
+@pytest.mark.parametrize("q, eta", [(13, "1"), (10007, "q^-1/2"), (10039, "4/10039")])
+def test_theorem3_covers_at_k_around_the_least_exponent(q, eta, tmp_path):
+    argv = ["theorem3", "--q", str(q), "--eta", eta, "--format", "json"]
+    k_min = int(json.loads(run_cli(tmp_path, "t3.json", *argv)[1])[0]["computed"])
+    p = prime_residues(q, eta)
+    for k in (k_min - 1, k_min, k_min + 1):
+        code, text = run_cli(tmp_path, "t3.json", *argv, "--k", str(k))
+        assert code == 0
+        covers = iterated_product(p, k).covers_units
+        assert covers is (k >= k_min)
+        assert json.loads(text)[0]["details"]["covers_at_k"] == {"k": k, "covers": covers}
 
 
 def test_audit_json_structure(tmp_path):
@@ -470,20 +484,33 @@ def test_commands_import_neither_scipy_nor_a_process_pool():
 _BIG = "1" + "0" * 400
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["erdos-scan", "--q", _BIG],
-        ["erdos-scan", "--q", "101", "--eta", "1e400"],
-        ["erdos-scan", "--q", "101", "--eta", "q^1e400"],
-        ["omega-sum", "--x", _BIG],
-    ],
-)
-def test_refusal_of_an_unbounded_number_is_one_short_line(argv, capsys):
+_UNBOUNDED = [
+    (["erdos-scan", "--q", _BIG], "<401-digit number>"),
+    (["erdos-scan", "--q", "101", "--eta", "1e400"], "<401-digit number>"),
+    (["erdos-scan", "--q", "101", "--eta", "q^1e400"], "<401-digit number>"),
+    (["omega-sum", "--x", _BIG], "<401-digit number>"),
+    # refused on the text, before 10^N or a 5000-digit int is built
+    (["erdos-scan", "--q", "101", "--eta", "1e10000000"], "--eta"),
+    (["theorem1", "--q", "101", "--epsilon", "1e-10000000"], "--epsilon"),
+    (["erdos-scan", "--q", "101", "--eta", "1e5000"], "--eta"),
+    (["erdos-scan", "--q", "101", "--eta", "7" * 5000], "--eta"),
+    (["omega-sum", "--x", "1000", "--z", "1e309"], "--z"),
+    (["omega-sum", "--x", "1000", "--z", "1e5000"], "--z"),
+    (["omega-sum", "--x", "1000", "--z", _BIG], "--z"),
+]
+
+
+@pytest.mark.parametrize("argv, named", _UNBOUNDED, ids=[f"argv{i}" for i in range(len(_UNBOUNDED))])
+def test_refusal_of_an_unbounded_number_is_one_short_line(argv, named, capsys):
+    t0 = time.perf_counter()
     assert main(argv) == 2
+    assert time.perf_counter() - t0 < 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and len(err[0]) < 120
-    assert err[0].endswith("<401-digit number>")
+    if named.startswith("--"):
+        assert err[0].startswith(f"error: {named} ")
+    else:
+        assert err[0].endswith(named)
 
 
 def _naive_certificate(w, p):

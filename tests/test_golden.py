@@ -35,6 +35,10 @@ COMMANDS = (
         for q in ("5", "13", "10007", "100003", "999983")
         for eta in ("1", "q^-1/4", "q^-1/2")
     ),
+    *(  # P = {2, 3}: the least exponent is q - 2 = 100017, the longest descent in the corpus
+        ["theorem3", "--q", "100019", "--eta", "4/100019", *k, "--format", "json"]
+        for k in ([], ["--k", "100016"], ["--k", "100017"])
+    ),
     ["density", "--q", "999983", "--eta", "1/5"],
 )
 

@@ -16,6 +16,7 @@ MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 ORACLES = (
     # the brute-force paths that tests compare the fast ones against
     "product_set_naive",
+    "iterated_product",
     "iterated_product_chain",
     "coset_obstruction_brute",
     "character_constant_on",

@@ -1,5 +1,6 @@
 import contextlib
 import random
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 
 from primecover import products
 from primecover.coset import coset_obstruction_brute, is_coset_trapped
-from primecover.modular import character_table, mod_inverse
+from primecover.modular import character_table, mod_inverse, primes_in_range
 from primecover.primes import prime_residues
 from primecover.products import (
+    COVER_FACTORS,
     RULE_COMPLETE,
     density_report,
     expansion_schedule,
@@ -21,6 +23,7 @@ from primecover.products import (
     product_set,
     product_set_naive,
     ruzsa_growth_check,
+    six_fold_cover,
     solution_count_naive,
     solution_counts_all,
 )
@@ -513,6 +516,52 @@ def test_expansion_regression_q10007():
     tr = expansion_schedule(p)
     assert tr.final_exponent == 2
     assert tr.final_exponent <= 48
+
+
+def test_min_exponent_is_least_cover_of_iterated_product():
+    # every prime 5 <= q <= 2000 x eta in {1, q^-1/4, q^-1/2, q^-3/4, 4/q}, untrapped sets only:
+    # P^(k_min) covers and P^(k_min - 1) does not, by square-and-multiply (covering is monotone)
+    cases = 0
+    for q in primes_in_range(5, 2000):
+        for eta in ("1", "q^-1/4", "q^-1/2", "q^-3/4", Fraction(4, q)):
+            p = prime_residues(q, eta)
+            if not p or is_coset_trapped(p):
+                continue
+            k = expansion_schedule(p).min_exponent
+            assert iterated_product(p, k).covers_units, (q, eta)
+            assert k == 1 or not iterated_product(p, k - 1).covers_units, (q, eta)
+            cases += 1
+    assert cases > 1000
+
+
+@pytest.mark.parametrize("q", [10039, 100019])
+def test_min_exponent_of_two_generating_primes_is_q_minus_2(q):
+    # P = {2, 3} untrapped means 2/3 generates the units, so P^(k) = 3^k {(2/3)^i : i <= k}
+    # has k + 1 members until it fills the q - 1 units, at k = q - 2
+    p = prime_residues(q, Fraction(4, q))
+    assert p.elements() == [2, 3] and not is_coset_trapped(p)
+    tr = expansion_schedule(p)
+    assert tr.min_exponent == q - 2
+    assert tr.final_exponent == 1 << (q - 2).bit_length()
+
+
+def _six_fold_chain(p):
+    """six_fold_cover's definition, by a product_set chain and ResidueSet unions."""
+    union = cur = p
+    for k in range(1, COVER_FACTORS + 1):
+        if k > 1:
+            cur = product_set(cur, p)
+            union = union | cur
+        if union.covers_units:
+            return k, union
+    return None, union
+
+
+def test_six_fold_cover_vs_product_set_chain():
+    for q in primes_in_range(3, 2000):
+        for eta in ("1", "q^-1/2"):
+            p = prime_residues(q, eta)
+            assert six_fold_cover(p) == _six_fold_chain(p), (q, eta)
 
 
 def test_density_report_q5():
