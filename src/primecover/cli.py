@@ -316,10 +316,7 @@ OMEGA_COLUMNS = (
 def cmd_omega_sum(args) -> int:
     """Partial sums of z^Omega(n) against the main term, z = e(2*pi*i*a/b)."""
     rot = parse_fraction(args.z, "--z")
-    try:
-        z = cmath.exp(2j * cmath.pi * float(rot))
-    except (OverflowError, ValueError):  # float(rot), or 2 * pi * rot, overflows
-        raise ValueError("--z must be a rotation a/b with 2*pi*a/b in a float's range") from None
+    z = cmath.exp(2j * cmath.pi * float(rot % 1))  # reduced first: e(a/b) has period 1
     rows = []
     for x in args.x:
         r = coset.omega_power_sum(z, x)

@@ -10,6 +10,7 @@ table per run, from which Omega and nu are filled eagerly by doubling.
 from __future__ import annotations
 
 import re
+import reprlib
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,13 +49,16 @@ def primes_below(x: int) -> np.ndarray:
 
 def parse_fraction(text: str, flag: str) -> Fraction:
     """A decimal or a/b from the command line; a zero denominator is a ValueError, and so is a
-    text past 1000 characters or an exponent past 3 digits, before `Fraction` builds 10^N."""
+    malformed text, or a text past 1000 characters or an exponent past 3 digits, before
+    `Fraction` builds 10^N.  Every refusal but the zero denominator names its flag."""
     if len(text) > 1000 or re.search(r"[eE][-+]?[0_]*(?!0)\d(_?\d){3}", text):
         raise ValueError(f"{flag} takes at most 1000 characters and a decimal exponent below 1000")
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise ValueError(f"{flag} takes a decimal or a/b, not {reprlib.repr(text)}") from None
 
 
 # q^(b+a) costs O(b log q) bits; b = 1000 takes 1 ms at q = 10^6, b = 10^4 0.4 s, 4 * 10^4 20 s

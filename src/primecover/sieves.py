@@ -21,6 +21,11 @@ This truncation of Moebius inclusion-exclusion satisfies the fundamental
 inequality sum_{d | m} lambda-_d <= [m = 1] for every m | P(z), which gives
 w-(n) <= 1 on z-rough n and w-(n) <= 0 otherwise, with |lambda-| <= 1 and
 support inside [1, D].
+
+audit_weights checks each clause above on every n in [1, x] and every d in
+the support.  The sums get a verdict only on the upper side: sum w+ may be at
+most WEIGHT_SUM_CEILING times the main term x / (xi log x).  The lower sum's
+ratio to it is recorded.
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ UPPER = "upper"
 LOWER = "lower"
 
 _TOL = 1e-9
+# sum w+ / (x / (xi log x)) above this fails upper.weight-sum
+WEIGHT_SUM_CEILING = 2.0
 
 
 @dataclass(frozen=True)
@@ -96,6 +103,16 @@ def sifting_primes(z: float) -> list[int]:
     return primes_below(top).tolist()
 
 
+def _divisor_sum(coeffs: dict[int, float], x: int) -> np.ndarray:
+    """sum_{d | n} c_d for n in [0, x] (index 0 unused), by strided adds over ascending d."""
+    out = np.zeros(x + 1)
+    for d, c in sorted(coeffs.items()):
+        if c != 0.0:
+            out[d::d] += c
+    out[0] = 0.0
+    return out
+
+
 @dataclass
 class SieveWeights:
     """A lambda_d coefficient table plus the induced w(n) on [1, x]."""
@@ -103,10 +120,16 @@ class SieveWeights:
     params: SieveParams
     kind: str
     lam: dict[int, float]
-    z: float
-    level: float
     rho: dict[int, float] | None = None
     _warr: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def z(self) -> float:
+        return self.params.z
+
+    @property
+    def level(self) -> float:
+        return self.params.level_upper if self.kind == UPPER else self.params.level_lower
 
     def support(self) -> list[int]:
         return sorted(d for d, c in self.lam.items() if c != 0.0)
@@ -114,12 +137,7 @@ class SieveWeights:
     def weight_array(self) -> np.ndarray:
         """w(n) for n in [0, x] (index 0 unused), by strided divisor sums."""
         if self._warr is None:
-            w = np.zeros(self.params.x + 1)
-            for d, c in sorted(self.lam.items()):
-                if c != 0.0:
-                    w[d::d] += c
-            w[0] = 0.0
-            self._warr = w
+            self._warr = _divisor_sum(self.lam, self.params.x)
         return self._warr
 
     def weight(self, n: int) -> float:
@@ -158,7 +176,6 @@ def selberg_upper(params: SieveParams) -> SieveWeights:
     """Quadratic upper weights at level x^(2*xi); see module docstring."""
     params.check_upper()
     z = params.z
-    level = params.level_upper
     primes = sifting_primes(z)
 
     base = sorted(_squarefree_smooth_products(primes, z))
@@ -187,15 +204,14 @@ def selberg_upper(params: SieveParams) -> SieveWeights:
         for d2, r2 in items:
             l = d1 * d2 // math.gcd(d1, d2)
             lam[l] = lam.get(l, 0.0) + r1 * r2
-    return SieveWeights(params, UPPER, lam, z, level, rho=rho)
+    return SieveWeights(params, UPPER, lam, rho=rho)
 
 
 def linear_lower(params: SieveParams) -> SieveWeights:
     """Combinatorial lower weights at level x^(2*xi + delta); see module docstring."""
     params.check_lower()
-    z = params.z
     level = params.level_lower
-    primes_desc = sifting_primes(z)[::-1]
+    primes_desc = sifting_primes(params.z)[::-1]
 
     lam: dict[int, float] = {1: 1.0}
     # DFS over descending prime chains; the cube condition binds at even depth.
@@ -210,7 +226,7 @@ def linear_lower(params: SieveParams) -> SieveWeights:
             d = prod * p
             lam[d] = float((-1) ** m)
             stack.append((i + 1, d, m))
-    return SieveWeights(params, LOWER, lam, z, level)
+    return SieveWeights(params, LOWER, lam)
 
 
 def weight_sum(w: SieveWeights) -> float:
@@ -225,28 +241,17 @@ def weight_sum_reference(w: SieveWeights) -> float:
     return x / (xi * math.log(x))
 
 
-def _report(name, params, computed, bound, verdict, tolerance=_TOL, witness=None, **details):
-    ratio = None
-    if bound not in (None, 0) and computed is not None:
-        ratio = computed / bound
-    return AuditReport(
-        name=name,
-        params=params,
-        computed=computed,
-        bound=bound,
-        ratio=ratio,
-        verdict=verdict,
-        tolerance=tolerance,
-        witness=witness,
-        details=details,
-    )
-
-
 def audit_weights(w: SieveWeights) -> list[AuditReport]:
     """Check every stated clause of the weight system exhaustively on [1, x].
 
-    Hard clauses get pass/fail verdicts with a witness on failure; the
-    asymptotic sum clauses are reported as ratios with verdict "recorded".
+    Both systems: support-level (every d <= level).  Upper: nonnegative (w >= 0
+    on [1, x]), rough-at-least-one (w >= 1 on z-rough n), squarefree-support,
+    lambda-size (|lambda_d| <= 3^nu(d)), square-form-agreement (w = (sum rho)^2)
+    and weight-sum, which passes while sum w / (x / (xi log x)) stays within
+    WEIGHT_SUM_CEILING.  Lower: rough-at-most-one (w <= 1 on z-rough n),
+    smooth-nonpositive (w <= 0 on the other n), lambda-size (|lambda_d| <= 1)
+    and weight-sum, whose ratio to the main term is recorded.  A failed clause
+    names the first n or d where it fails worst.
     """
     params = w.params
     x = params.x
@@ -258,165 +263,65 @@ def audit_weights(w: SieveWeights) -> list[AuditReport]:
     rough = sieve.rough_mask(max(w.z, 2.0))[: x + 1]
     reports: list[AuditReport] = []
 
+    def record(name, computed, bound, ok, witness=None, tolerance=_TOL, **details):
+        """One clause: pass/fail by ok, or "recorded" when ok is None."""
+        reports.append(
+            AuditReport(
+                name=f"{w.kind}.{name}",
+                params=meta,
+                computed=computed,
+                bound=bound,
+                ratio=computed / bound if bound else None,
+                verdict=RECORDED if ok is None else PASS if ok else FAIL,
+                tolerance=tolerance,
+                witness=None if ok or ok is None else witness,
+                details=details,
+            )
+        )
+
+    def extreme(name, idx, bound, at_most):
+        """w over the n in idx stays at most (or at least) bound; else name its first extreme n."""
+        vals = warr[idx]
+        i = int(vals.argmax() if at_most else vals.argmin())
+        value = float(vals[i])
+        ok = value <= bound + _TOL if at_most else value >= bound - _TOL
+        record(name, value, bound, ok, int(idx[i]))
+
     support = w.support()
     top = max(support) if support else 1
-    level_ok = top <= w.level * (1 + 1e-12)
-    reports.append(
-        _report(
-            f"{w.kind}.support-level",
-            meta,
-            float(top),
-            w.level,
-            PASS if level_ok else FAIL,
-            witness=None if level_ok else top,
-        )
-    )
+    record("support-level", float(top), w.level, top <= w.level * (1 + 1e-12), top)
+    rough_idx = np.flatnonzero(rough)
+    total, ref = weight_sum(w), weight_sum_reference(w)
 
     if w.kind == UPPER:
-        nonneg_min = float(warr[1:].min())
-        ok = nonneg_min >= -_TOL
-        reports.append(
-            _report(
-                "upper.nonnegative",
-                meta,
-                nonneg_min,
-                0.0,
-                PASS if ok else FAIL,
-                witness=None if ok else int(warr[1:].argmin()) + 1,
-            )
-        )
-
-        rough_idx = np.flatnonzero(rough)
-        rough_min = float(warr[rough_idx].min())
-        ok = rough_min >= 1 - _TOL
-        reports.append(
-            _report(
-                "upper.rough-at-least-one",
-                meta,
-                rough_min,
-                1.0,
-                PASS if ok else FAIL,
-                witness=None if ok else int(rough_idx[warr[rough_idx].argmin()]),
-            )
-        )
-
-        bad_sqfree = [d for d in support if not sieve.is_squarefree(d)]
-        reports.append(
-            _report(
-                "upper.squarefree-support",
-                meta,
-                float(len(bad_sqfree)),
-                0.0,
-                PASS if not bad_sqfree else FAIL,
-                witness=bad_sqfree[0] if bad_sqfree else None,
-            )
-        )
-
-        worst_d, worst_excess = None, 0.0
-        for d in support:
-            excess = abs(w.lam[d]) - 3.0 ** sieve.nu(d)
-            if excess > worst_excess:
-                worst_d, worst_excess = d, excess
-        ok = worst_excess <= _TOL
-        reports.append(
-            _report(
-                "upper.lambda-size",
-                meta,
-                worst_excess,
-                0.0,
-                PASS if ok else FAIL,
-                witness=worst_d if not ok else None,
-            )
-        )
-
+        extreme("nonnegative", np.arange(1, x + 1), 0.0, at_most=False)
+        extreme("rough-at-least-one", rough_idx, 1.0, at_most=False)
+        bad = [d for d in support if not sieve.is_squarefree(d)]
+        record("squarefree-support", float(len(bad)), 0.0, not bad, next(iter(bad), None))
+        excess = {d: abs(w.lam[d]) - 3.0 ** sieve.nu(d) for d in support}
+        worst_d = max(excess, key=excess.get, default=None)
+        worst = max(0.0, excess.get(worst_d, 0.0))
+        record("lambda-size", worst, 0.0, worst <= _TOL, worst_d)
         if w.rho is not None:
-            s = np.zeros(x + 1)
-            for d, r in sorted(w.rho.items()):
-                s[d::d] += r
-            s[0] = 0.0
-            gap = float(np.abs(warr[1:] - s[1:] ** 2).max())
+            gap = float(np.abs(warr[1:] - _divisor_sum(w.rho, x)[1:] ** 2).max())
             scale = max(1.0, float(np.abs(warr[1:]).max()))
-            ok = gap <= 1e-9 * scale
-            reports.append(
-                _report(
-                    "upper.square-form-agreement",
-                    meta,
-                    gap,
-                    1e-9 * scale,
-                    PASS if ok else FAIL,
-                    tolerance=1e-9,
-                )
-            )
-
-        total = weight_sum(w)
-        reports.append(
-            _report(
-                "upper.weight-sum",
-                meta,
-                total,
-                weight_sum_reference(w),
-                RECORDED,
-                tolerance=None,
-                direct_equal=bool(abs(total - float(warr[1:].sum())) <= 1e-6 * max(1.0, abs(total))),
-            )
+            record("square-form-agreement", gap, 1e-9 * scale, gap <= 1e-9 * scale, tolerance=1e-9)
+        record(
+            "weight-sum",
+            total,
+            ref,
+            total / ref <= WEIGHT_SUM_CEILING,
+            tolerance=None,
+            direct_equal=bool(abs(total - float(warr[1:].sum())) <= 1e-6 * max(1.0, abs(total))),
+            ceiling=WEIGHT_SUM_CEILING,
         )
     else:
-        rough_idx = np.flatnonzero(rough)
-        rough_max = float(warr[rough_idx].max())
-        ok = rough_max <= 1 + _TOL
-        reports.append(
-            _report(
-                "lower.rough-at-most-one",
-                meta,
-                rough_max,
-                1.0,
-                PASS if ok else FAIL,
-                witness=None if ok else int(rough_idx[warr[rough_idx].argmax()]),
-            )
-        )
-
-        smooth = ~rough
-        smooth[0] = False
-        smooth_idx = np.flatnonzero(smooth)
+        extreme("rough-at-most-one", rough_idx, 1.0, at_most=True)
+        smooth_idx = np.flatnonzero(~rough[1:]) + 1
         if smooth_idx.size:
-            smooth_max = float(warr[smooth_idx].max())
-            ok = smooth_max <= _TOL
-            reports.append(
-                _report(
-                    "lower.smooth-nonpositive",
-                    meta,
-                    smooth_max,
-                    0.0,
-                    PASS if ok else FAIL,
-                    witness=None if ok else int(smooth_idx[warr[smooth_idx].argmax()]),
-                )
-            )
-
+            extreme("smooth-nonpositive", smooth_idx, 0.0, at_most=True)
         worst = max((abs(c) for c in w.lam.values()), default=0.0)
-        ok = worst <= 1 + _TOL
-        reports.append(
-            _report(
-                "lower.lambda-size",
-                meta,
-                worst,
-                1.0,
-                PASS if ok else FAIL,
-                witness=None
-                if ok
-                else next(d for d, c in w.lam.items() if abs(c) == worst),
-            )
-        )
-
-        total = weight_sum(w)
-        reports.append(
-            _report(
-                "lower.weight-sum",
-                meta,
-                total,
-                weight_sum_reference(w),
-                RECORDED,
-                tolerance=None,
-                positive=bool(total > 0),
-            )
-        )
+        worst_d = next((d for d, c in w.lam.items() if abs(c) == worst), None)
+        record("lambda-size", worst, 1.0, worst <= 1 + _TOL, worst_d)
+        record("weight-sum", total, ref, None, tolerance=None, positive=bool(total > 0))
     return reports

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -494,9 +495,13 @@ _UNBOUNDED = [
     (["theorem1", "--q", "101", "--epsilon", "1e-10000000"], "--epsilon"),
     (["erdos-scan", "--q", "101", "--eta", "1e5000"], "--eta"),
     (["erdos-scan", "--q", "101", "--eta", "7" * 5000], "--eta"),
-    (["omega-sum", "--x", "1000", "--z", "1e309"], "--z"),
     (["omega-sum", "--x", "1000", "--z", "1e5000"], "--z"),
-    (["omega-sum", "--x", "1000", "--z", _BIG], "--z"),
+    # malformed: named by its flag, not by Fraction's own message
+    (["erdos-scan", "--q", "101", "--eta", "banana"], "--eta"),
+    (["erdos-scan", "--q", "101", "--eta", "q^(-1/2"], "--eta"),
+    (["omega-sum", "--x", "1000", "--z", "1e15/3"], "--z"),
+    (["theorem1", "--q", "101", "--epsilon", "abc"], "--epsilon"),
+    (["erdos-scan", "--q", "101", "--eta", "x" * 999], "--eta"),
 ]
 
 
@@ -511,6 +516,18 @@ def test_refusal_of_an_unbounded_number_is_one_short_line(argv, named, capsys):
         assert err[0].startswith(f"error: {named} ")
     else:
         assert err[0].endswith(named)
+
+
+@pytest.mark.parametrize("rotations", [("0", "7", "1e20", "1e309", _BIG), ("1/3", "4/3", "-2/3")])
+def test_omega_sum_rotation_is_taken_mod_one(rotations, tmp_path):
+    cells = set()
+    for i, z in enumerate(rotations):
+        code, text = run_cli(tmp_path, f"o{i}.csv", "omega-sum", "--x", "1000", f"--z={z}")
+        assert code == 0
+        row = text.splitlines()[1].split(",")
+        assert row[1] == f"e({Fraction(z)})"
+        cells.add(tuple(row[2:]))
+    assert len(cells) == 1  # e(a/b) has period 1
 
 
 def _naive_certificate(w, p):

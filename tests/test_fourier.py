@@ -308,7 +308,7 @@ def test_l1_norm_degenerate_delta():
     # lambda tuned so w = delta at n=1: unimodular spectrum, L = q - 1 exactly
     q = 101
     params = SieveParams(4, 0.2)
-    w = SieveWeights(params, "upper", {1: 1.0, 2: -1.0, 3: -1.0}, params.z, params.level_upper)
+    w = SieveWeights(params, "upper", {1: 1.0, 2: -1.0, 3: -1.0})
     assert list(w.weight_array()[1:]) == [1.0, 0.0, 0.0, 0.0]
     rep = l1_spectrum_norm(w, q)
     assert rep.computed == pytest.approx(q - 1, rel=1e-12)
@@ -335,7 +335,7 @@ def test_sup_mult_coeff_small():
 
 def test_sup_mult_coeff_zero_weights():
     q = 101
-    w = SieveWeights(SieveParams(50, 0.15, delta=0.05), "lower", {}, 1.0, 10.0)
+    w = SieveWeights(SieveParams(50, 0.15, delta=0.05), "lower", {})
     rep = sup_nontrivial_mult_coeff(w, q)
     assert rep.computed == 0.0
 

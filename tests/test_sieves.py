@@ -9,6 +9,7 @@ from primecover.sieves import (
     LOWER,
     UPPER,
     SieveParams,
+    WEIGHT_SUM_CEILING,
     SieveWeights,
     _squarefree_smooth_products,
     audit_weights,
@@ -29,7 +30,7 @@ def dirac_weights(x: int, xi: float = 0.25) -> SieveWeights:
     reduce to raw modular-hyperbola point counts.
     """
     params = SieveParams(x, xi)
-    return SieveWeights(params, UPPER, {1: 1.0}, params.z, params.level_upper, rho={1: 1.0})
+    return SieveWeights(params, UPPER, {1: 1.0}, rho={1: 1.0})
 
 
 def divisor_subset_sums(lam: dict[int, float], m_primes: list[int]) -> float:
@@ -203,7 +204,7 @@ def test_fault_injection_caught():
     good = linear_lower(params)
     bad_lam = dict(good.lam)
     bad_lam[2] = +1.0  # flip a Moebius sign
-    bad = SieveWeights(params, LOWER, bad_lam, good.z, good.level)
+    bad = SieveWeights(params, LOWER, bad_lam)
     reps = {r.name: r for r in audit_weights(bad)}
     failed = [r for r in reps.values() if r.verdict == "fail"]
     assert failed
@@ -214,9 +215,58 @@ def test_fault_injection_caught():
     bad_up[max(up.support()) * 2] = 5.0  # push support past the level
     rep = {
         r.name: r
-        for r in audit_weights(SieveWeights(params, UPPER, bad_up, up.z, up.level, rho=up.rho))
+        for r in audit_weights(SieveWeights(params, UPPER, bad_up, rho=up.rho))
     }
     assert rep["upper.support-level"].verdict == "fail"
+
+
+def _clause(w: SieveWeights, name: str):
+    return next(r for r in audit_weights(w) if r.name == name)
+
+
+# (clause, weights, n pushed, w(n) pushed to); z = 10^0.8 here, so 101 is rough and 12 is not
+_PUSHED_W = [
+    ("upper.nonnegative", selberg_upper, 12, -0.5),
+    ("upper.rough-at-least-one", selberg_upper, 101, 0.5),
+    ("lower.rough-at-most-one", linear_lower, 101, 1.5),
+    ("lower.smooth-nonpositive", linear_lower, 12, 0.5),
+]
+
+
+@pytest.mark.parametrize("clause, make, n, value", _PUSHED_W, ids=[c[0] for c in _PUSHED_W])
+def test_extreme_clause_names_the_pushed_n(clause, make, n, value):
+    w = make(SieveParams(10**4, 0.2, delta=0.05))
+    assert _clause(w, clause).verdict == "pass"
+    w.weight_array()[n] = value  # the cached w(n) that every clause reads
+    rep = _clause(w, clause)
+    assert (rep.verdict, rep.witness, rep.computed) == ("fail", n, value)
+
+
+@pytest.mark.parametrize("kind", [UPPER, LOWER])
+def test_lambda_size_names_the_pushed_d(kind):
+    params = SieveParams(10**4, 0.2, delta=0.05)
+    good = selberg_upper(params) if kind == UPPER else linear_lower(params)
+    lam = dict(good.lam)
+    lam[15] = 10.0  # past both 3^nu(15) = 9 and 1
+    rep = _clause(SieveWeights(params, kind, lam, rho=good.rho), f"{kind}.lambda-size")
+    assert (rep.verdict, rep.witness) == ("fail", 15)
+
+
+def test_upper_weight_sum_fails_past_its_ceiling():
+    # w = 1 on [1, x] sums to x, so the ratio to x / (xi log x) is xi log x
+    assert 0.2 * math.log(10**4) < WEIGHT_SUM_CEILING < 0.25 * math.log(10**4)
+    for xi, verdict in ((0.2, "pass"), (0.25, "fail")):
+        rep = _clause(dirac_weights(10**4, xi), "upper.weight-sum")
+        assert rep.ratio == pytest.approx(xi * math.log(10**4), rel=1e-12)
+        assert (rep.verdict, rep.details["ceiling"]) == (verdict, WEIGHT_SUM_CEILING)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.05])
+def test_z_and_level_read_off_params(delta):
+    params = SieveParams(10**4, 0.2, delta=delta)
+    levels = {UPPER: params.level_upper, LOWER: params.level_lower}
+    for w in (selberg_upper(params), linear_lower(params), SieveWeights(params, LOWER, {})):
+        assert (w.z, w.level) == (params.z, levels[w.kind])
 
 
 def test_dirac_weights_trivial():
