@@ -11,7 +11,11 @@ convolution: its verified spectral form is (f*g)^(chi) = f^(chi) *
 conj(g^(conj chi)), which collapses to f^ * g^ for real g.
 
 Kloosterman sums Kl2(r, s; q) = sum_{n in (Z/qZ)^x} e((r*n + s*n^-1)/q) are
-evaluated by brute force and audited against the 2*sqrt(q) bound.
+evaluated by brute force and audited against the 2*sqrt(q) bound.  The
+exhaustive sweeps read precomputed indices instead of reducing mod q per
+element: the convolution oracle reads a*x^-1 off a cached grid of r*s mod q,
+and the Weil sweep adds r*n mod q to a precomputed s*n^-1 mod q and indexes a
+root table doubled to length 2q.
 """
 
 from __future__ import annotations
@@ -100,16 +104,27 @@ def mult_convolve(f: np.ndarray, g: np.ndarray, table) -> np.ndarray:
 
 
 def mult_convolve_naive(f: np.ndarray, g: np.ndarray, q: int) -> np.ndarray:
-    """Double-loop definition of the convolution (oracle path)."""
-    qv = modulus_value(q)
+    """(f*g)(a) = sum_x f(x) conj(g(a x^-1)), x ascending: the definition (oracle path).
+
+    Row x^-1 of the unit product grid reads off a x^-1 for every a, and no
+    discrete log is used.  Blocks of terms are folded into a running sum in x
+    order, so every entry gets the same additions as one x at a time.  Refuses
+    q > GRID_MAX_MODULUS (the grid is q x q).
+    """
+    qv = modulus_value(_grid_budget(q))
     fa = _as_mod_array(f, qv)
     ga = np.conj(_as_mod_array(g, qv))
+    grid = _unit_product_grid(qv)
+    xs = np.flatnonzero(fa[1:]) + 1
+    buf = np.zeros((_CONVOLVE_ROWS + 1, qv - 1), dtype=np.complex128)  # row 0: the sum
+    for lo in range(0, len(xs), _CONVOLVE_ROWS):
+        block = xs[lo : lo + _CONVOLVE_ROWS]
+        k = len(block)
+        rows = grid[[pow(int(x), -1, qv) - 1 for x in block]]  # rows[i, a - 1] = a x_i^-1
+        np.multiply(fa[block, None], ga[rows], out=buf[1 : k + 1])
+        np.add.reduce(buf[: k + 1], axis=0, out=buf[0])
     out = np.zeros(qv, dtype=np.complex128)
-    ys = np.arange(1, qv)
-    for x in range(1, qv):
-        if fa[x] == 0:
-            continue
-        np.add.at(out, x * ys % qv, fa[x] * ga[1:])
+    out[1:] = buf[0]
     return out
 
 
@@ -119,7 +134,8 @@ def mult_convolve_naive(f: np.ndarray, g: np.ndarray, q: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4)
 def _unit_roots(q: int) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(q) / q)
+    """e(t/q) at t and t + q for t in [0, q-1]: a sum of two residues indexes it without % q."""
+    return np.tile(np.exp(2j * np.pi * np.arange(q) / q), 2)
 
 
 def kloosterman(r: int, s: int, q: int) -> complex:
@@ -134,15 +150,19 @@ def kloosterman(r: int, s: int, q: int) -> complex:
 
 
 # q x q grids at the cap: 200 MB per int64 or float64 grid, 400 MB per complex128 one
-# (kloosterman_row's index and values, a hyperbola count's terms), 50 MB for the int16 index
+# (a hyperbola count's terms, weil_audit's gather per r), 50 MB for the int16 index (built in int32)
 GRID_MAX_MODULUS = 5000
 
 
-def _grid_table(q: int):
-    """character_table(q) for a routine that allocates q x q grids, after its budget check."""
+def _grid_budget(q: int) -> int:
+    """int(q), refused above GRID_MAX_MODULUS before any table or grid exists."""
     if int(q) > GRID_MAX_MODULUS:
         raise ValueError(f"modulus budget for q x q grids is q <= {GRID_MAX_MODULUS}, got {q}")
-    return character_table(q)
+    return int(q)
+
+
+_GATHER_ROWS = 64  # rows of Kl2 values gathered at once: 1 MB of complex at q = 1009
+_CONVOLVE_ROWS = 32  # rows of convolution terms folded at once: 0.5 MB of complex at q = 997
 
 
 @functools.lru_cache(maxsize=4)
@@ -150,24 +170,27 @@ def kloosterman_row(q: int) -> np.ndarray:
     """Kl2(1, u; q) for u in [0, q-1]; entry 0 is the degenerate Ramanujan value -1.
 
     Every nondegenerate sum reduces to this row: Kl2(r, s; q) = Kl2(1, rs; q)
-    by substituting n -> r^-1 n.
+    by substituting n -> r^-1 n.  Built _GATHER_ROWS values of u at a time.
     """
-    qv = _grid_table(q).q
+    qv = character_table(_grid_budget(q)).q
     inv = inverse_table(qv)
+    roots = _unit_roots(qv)
     ns = np.arange(1, qv)
-    us = np.arange(qv)
-    idx = (ns[None, :] + us[:, None] * inv[1:][None, :]) % qv
-    return _unit_roots(qv)[idx].sum(axis=1)
-
-
-_GATHER_ROWS = 64  # rows of Kl2 values gathered at once: 1 MB of complex at q = 1009
+    out = np.empty(qv, dtype=np.complex128)
+    for lo in range(0, qv, _GATHER_ROWS):
+        us = np.arange(lo, min(lo + _GATHER_ROWS, qv))
+        idx = us[:, None] * inv[1:][None, :] % qv + ns[None, :]
+        out[lo : lo + len(us)] = roots[idx].sum(axis=1)
+    return out
 
 
 @functools.lru_cache(maxsize=1)
 def _unit_product_grid(q: int) -> np.ndarray:
     """(r * s) mod q for r, s in [1, q-1]; int16 holds q <= GRID_MAX_MODULUS (2 MB at q = 1009)."""
-    ns = np.arange(1, q)
-    return (np.multiply.outer(ns, ns) % q).astype(np.int16)
+    ns = np.arange(1, q, dtype=np.int32)  # (q-1)^2 < 2^31 at the cap
+    grid = np.multiply.outer(ns, ns)
+    grid %= q
+    return grid.astype(np.int16)
 
 
 def weil_audit(q: int, tol: float = 1e-6) -> AuditReport:
@@ -176,16 +199,18 @@ def weil_audit(q: int, tol: float = 1e-6) -> AuditReport:
     Also verifies that every sum is real (conjugation symmetry n <-> -n)
     and symmetric under r <-> s (substitution n <-> n^-1).
     """
-    qv = _grid_table(q).q
+    qv = character_table(_grid_budget(q)).q
     inv = inverse_table(qv)
     roots = _unit_roots(qv)
     ns = np.arange(1, qv)
+    s_over_n = ns[:, None] * inv[1:][None, :] % qv  # [s - 1, n - 1] = s n^-1 mod q
+    idx = np.empty_like(s_over_n)
     bound = 2.0 * math.sqrt(qv)
     worst = 0.0
     worst_pair = None
     max_imag = 0.0
     for r in range(1, qv):
-        idx = (r * ns[None, :] + np.arange(1, qv)[:, None] * inv[1:][None, :]) % qv
+        np.add(s_over_n, r * ns % qv, out=idx)
         sums = roots[idx].sum(axis=1)
         max_imag = max(max_imag, float(np.abs(sums.imag).max()))
         mags = np.abs(sums)
@@ -316,7 +341,7 @@ def solution_count_fourier(w: SieveWeights, a: int, q: int) -> SolutionCountRepo
     off-diagonal block is also re-estimated with |Kl2| <= 2*sqrt(q) to expose
     the bound chain.  Refuses q > GRID_MAX_MODULUS (dense q x q frequency grid).
     """
-    qv = _grid_table(q).q
+    qv = character_table(_grid_budget(q)).q
     if w.kind != UPPER:
         raise ValueError("solution counts are audited for upper weights")
     if a % qv == 0:

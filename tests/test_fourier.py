@@ -148,6 +148,37 @@ def test_weil_exhaustive_small():
         assert rep.computed <= 2 * math.sqrt(q) + 1e-6
 
 
+def _per_r_weil(q):
+    """Worst |Kl2|, its pair and the largest |imaginary part|, one q x q index per r."""
+    inv = inverse_table(q)
+    roots = np.exp(2j * np.pi * np.arange(q) / q)
+    ns = np.arange(1, q)
+    worst, worst_pair, max_imag = 0.0, None, 0.0
+    for r in range(1, q):
+        idx = (r * ns[None, :] + np.arange(1, q)[:, None] * inv[1:][None, :]) % q
+        sums = roots[idx].sum(axis=1)
+        max_imag = max(max_imag, float(np.abs(sums.imag).max()))
+        mags = np.abs(sums)
+        if float(mags.max()) > worst:
+            worst, worst_pair = float(mags.max()), (r, int(mags.argmax()) + 1)
+    return worst, worst_pair, max_imag
+
+
+@pytest.mark.parametrize("q", [5, 7, 101, 211])
+def test_weil_audit_is_bit_identical_to_per_r_formula(q):
+    # a negative tolerance fails every audit, so the report names its worst pair
+    rep = weil_audit(q, tol=-1.0)
+    assert (rep.computed, rep.witness, rep.details["max_imag"]) == _per_r_weil(q)
+
+
+@pytest.mark.parametrize("q", [5, 7, 101, 1009])
+def test_kloosterman_row_is_bit_identical_to_one_shot_grid(q):
+    inv = inverse_table(q)
+    roots = np.exp(2j * np.pi * np.arange(q) / q)
+    idx = (np.arange(1, q)[None, :] + np.arange(q)[:, None] * inv[1:][None, :]) % q
+    assert np.array_equal(kloosterman_row(q).view(np.float64), roots[idx].sum(axis=1).view(np.float64))
+
+
 def test_kloosterman_moment_identities():
     # exact envelopes of the whole family: sum_u Kl2(1,u) = 1 and
     # sum_u Kl2(1,u)^2 = q^2 - q - 1 (orthogonality of additive characters)
@@ -200,6 +231,30 @@ def test_convolution_fast_vs_naive_complex():
         fast = mult_convolve(f, g, table)
         slow = mult_convolve_naive(f, g, q)
         assert np.abs(fast - slow).max() < 1e-6 * np.abs(slow).max()
+
+
+def _add_at_convolve(f, g, q):
+    """The convolution's definition scattered one x at a time with np.add.at."""
+    fa = np.asarray(f, dtype=np.complex128)
+    ga = np.conj(np.asarray(g, dtype=np.complex128))
+    out = np.zeros(q, dtype=np.complex128)
+    ys = np.arange(1, q)
+    for x in range(1, q):
+        if fa[x] == 0:
+            continue
+        np.add.at(out, x * ys % q, fa[x] * ga[1:])
+    return out
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 13, 101, 499])
+def test_convolution_oracle_is_bit_identical_to_add_at(q):
+    rng = np.random.default_rng(q)
+    for _ in range(3):
+        f = _rand_fn(rng, q)
+        f[rng.random(q) < 0.3] = 0  # x with f(x) = 0 is skipped, as in the reference
+        g = _rand_fn(rng, q)
+        want = _add_at_convolve(f, g, q).view(np.float64)
+        assert np.array_equal(mult_convolve_naive(f, g, q).view(np.float64), want)
 
 
 def test_convolution_spectral_identity_conjugated():
@@ -284,12 +339,14 @@ def test_grid_routines_reject_q_above_budget_before_allocating(monkeypatch):
         raise AssertionError("character table built before the budget check")
 
     monkeypatch.setattr(fourier, "character_table", no_table)
+    monkeypatch.setattr(fourier, "_unit_product_grid", lambda q: pytest.fail("grid built"))
     q = 10007
     w = selberg_upper(SieveParams(int(q**0.75), 0.2))
     for call in (
         lambda: kloosterman_row(q),
         lambda: weil_audit(q),
         lambda: solution_count_fourier(w, 3, q),
+        lambda: mult_convolve_naive(np.zeros(q), np.zeros(q), q),
     ):
         with pytest.raises(ValueError, match="q x q"):
             call()
