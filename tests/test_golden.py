@@ -22,6 +22,9 @@ COMMANDS = (
     ["erdos-scan", "--q-min", "3", "--q-max", "3000"],
     ["erdos-scan", "--q-min", "999900", "--q-max", "1000000"],
     ["coset-scan", "--q-min", "3", "--q-max", "20000"],
+    ["erdos-scan", "--q-min", "3", "--q-max", "500", "--format", "json"],
+    # obstructed rows, unobstructed rows and the empty-P row at q = 3
+    ["coset-scan", "--q-min", "3", "--q-max", "2000", "--eta", "q^-1/2", "--format", "json"],
     ["erdos-scan", "--q", "999983", "--eta", "1/10"],
     ["omega-sum", "--x", "10000", "100000", "1000000"],
     ["theorem1", "--q", "100003"],
