@@ -24,7 +24,7 @@ import numpy as np
 
 from . import audits, coset, products, sieves
 from .modular import MAX_MODULUS, character_table, modulus_value, primes_in_range
-from .primes import ETA_MAX_DENOMINATOR, Eta, parse_fraction, prime_residues
+from .primes import ETA_MAX_DENOMINATOR, FACTOR_SIEVE_MAX, Eta, parse_fraction, prime_residues
 from .reports import AuditReport, _clean, _csv_cell, reports_to_csv, reports_to_json
 from .residues import ResidueSet
 
@@ -93,13 +93,14 @@ def _pmap(fn, items, jobs: int):
 
 
 # ---------------------------------------------------------------------------
-# erdos-scan
+# erdos-scan / coset-scan
 
 
 ERDOS_COLUMNS = ("q", "prime_count", "product_count", "missing_count", "first_missing")
 
 
 def _erdos_row(task: tuple[int, Eta]) -> tuple:
+    """|P_eta|, |P_eta^(2)| and the residues still missing."""
     q, eta = task
     p = prime_residues(q, eta)
     p2 = products.product_set(p, p)
@@ -107,13 +108,32 @@ def _erdos_row(task: tuple[int, Eta]) -> tuple:
     return (q, len(p), len(p2), len(missing), missing.first())
 
 
-def cmd_erdos_scan(args) -> int:
-    """Per-prime table of |P_eta|, |P_eta^(2)| and the residues still missing."""
+COSET_COLUMNS = ("q", "eta", "prime_count", "obstructed", "subgroup_index", "representative")
+
+
+def _coset_row(task: tuple[int, Eta]) -> tuple:
+    """Where do the primes below eta*q sit inside a proper coset?"""
+    q, eta = task
+    rep = coset.coset_scan_report(q, eta)
+    d = rep.details
+    return (
+        q,
+        eta.label(),
+        d.get("prime_count", 0),
+        int(bool(d.get("obstructed"))) if d.get("obstructed") is not None else None,
+        d.get("subgroup_index"),
+        d.get("representative"),
+    )
+
+
+def cmd_scan(args) -> int:
+    """One row per odd prime q, sorted by q for any --jobs."""
+    # looked up per call, not stored in the parser: a tracer may rebind the row functions
+    row = _erdos_row if args.command == "erdos-scan" else _coset_row
     eta = Eta.parse(args.eta)
-    tasks = [(q, eta) for q in _q_list(args)]
-    rows = _pmap(_erdos_row, tasks, args.jobs)
+    rows = _pmap(row, [(q, eta) for q in _q_list(args)], args.jobs)
     rows.sort(key=lambda r: r[0])
-    _emit_rows(args, ERDOS_COLUMNS, rows)
+    _emit_rows(args, args.columns, rows)
     return 0
 
 
@@ -227,10 +247,7 @@ def cmd_theorem3(args) -> int:
         raise ValueError("P_eta is empty; nothing to expand")
     witness = coset.coset_obstruction(p)
     if witness is not None:
-        rep = AuditReport(
-            name="covering.min-exponent",
-            params={"q": q, "eta": eta.label()},
-            verdict="recorded",
+        fields = dict(
             witness=(witness.subgroup.index, witness.representative),
             details={
                 "obstructed": True,
@@ -238,66 +255,32 @@ def cmd_theorem3(args) -> int:
                 "note": "coset obstruction: no power of P_eta ever covers the group",
             },
         )
-        return _emit_reports(args, [rep])
-    trace = products.expansion_schedule(p)
-    k_min = trace.min_exponent
-    details = {
-        "obstructed": False,
-        "prime_count": len(p),
-        "doubling_trace": [
-            {"before": s.size_before, "rule": s.rule, "after": s.size_after, "k": s.exponent}
-            for s in trace.steps
-        ],
-        "theoretical_exponent": trace.theoretical_exponent,
-    }
-    if args.k is not None:
-        details["covers_at_k"] = {"k": args.k, "covers": args.k >= k_min}  # monotone in k
-    rep = AuditReport(
-        name="covering.min-exponent",
-        params={"q": q, "eta": eta.label()},
-        computed=float(k_min),
-        bound=48.0,
-        ratio=k_min / 48.0,
-        verdict="recorded",
-        details=details,
-    )
+    else:
+        trace = products.expansion_schedule(p)
+        k_min = trace.min_exponent
+        details = {
+            "obstructed": False,
+            "prime_count": len(p),
+            "doubling_trace": [
+                {"before": s.size_before, "rule": s.rule, "after": s.size_after, "k": s.exponent}
+                for s in trace.steps
+            ],
+            "theoretical_exponent": trace.theoretical_exponent,
+        }
+        if args.k is not None:
+            details["covers_at_k"] = {"k": args.k, "covers": args.k >= k_min}  # monotone in k
+        fields = dict(computed=float(k_min), bound=48.0, ratio=k_min / 48.0, details=details)
+    rep = AuditReport(name="covering.min-exponent", params={"q": q, "eta": eta.label()}, **fields)
     return _emit_reports(args, [rep])
 
 
 # ---------------------------------------------------------------------------
-# density / coset-scan / omega-sum / audit
+# density / omega-sum / audit
 
 
 def cmd_density(args) -> int:
     rep = products.density_report(args.q, Eta.parse(args.eta))
     return _emit_reports(args, [rep])
-
-
-COSET_COLUMNS = ("q", "eta", "prime_count", "obstructed", "subgroup_index", "representative")
-
-
-def _coset_row(task: tuple[int, Eta]) -> tuple:
-    q, eta = task
-    rep = coset.coset_scan_report(q, eta)
-    d = rep.details
-    return (
-        q,
-        eta.label(),
-        d.get("prime_count", 0),
-        int(bool(d.get("obstructed"))) if d.get("obstructed") is not None else None,
-        d.get("subgroup_index"),
-        d.get("representative"),
-    )
-
-
-def cmd_coset_scan(args) -> int:
-    """Where do the primes below eta*q sit inside a proper coset?"""
-    eta = Eta.parse(args.eta)
-    tasks = [(q, eta) for q in _q_list(args)]
-    rows = _pmap(_coset_row, tasks, args.jobs)
-    rows.sort(key=lambda r: r[0])
-    _emit_rows(args, COSET_COLUMNS, rows)
-    return 0
 
 
 OMEGA_COLUMNS = (
@@ -317,6 +300,9 @@ def cmd_omega_sum(args) -> int:
     """Partial sums of z^Omega(n) against the main term, z = e(2*pi*i*a/b)."""
     rot = parse_fraction(args.z, "--z")
     z = cmath.exp(2j * cmath.pi * float(rot % 1))  # reduced first: e(a/b) has period 1
+    for x in args.x:  # every x, before the first sieve is built
+        if not 100 <= x <= FACTOR_SIEVE_MAX:
+            raise ValueError(f"--x must lie in [100, 10^7], the factor sieve budget; got {x}")
     rows = []
     for x in args.x:
         r = coset.omega_power_sum(z, x)
@@ -338,6 +324,8 @@ def cmd_omega_sum(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    if args.seed < 0:  # numpy refuses it only when the first seeded suite runs
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     reports = audits.run_suite(args.suite, seed=args.seed)
     return _emit_reports(args, reports)
 
@@ -366,19 +354,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, jobs=False):
+    def add_common(p):
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        if jobs:
-            p.add_argument("--jobs", type=int, default=1, help="parallel workers for scans")
 
-    p = sub.add_parser("erdos-scan", help="per-prime pair-product coverage table")
-    p.add_argument("--q", type=int)
-    p.add_argument("--q-min", type=int)
-    p.add_argument("--q-max", type=int)
-    p.add_argument("--eta", default="1", help='decimal, fraction, or power form "q^-3/4"')
-    add_common(p, jobs=True)
-    p.set_defaults(fn=cmd_erdos_scan)
+    def add_scan(name: str, help_text: str, columns: tuple[str, ...]) -> None:
+        p = sub.add_parser(name, help=help_text)
+        for flag in ("--q", "--q-min", "--q-max"):
+            p.add_argument(flag, type=int)
+        p.add_argument("--eta", default="1", help='decimal, fraction, or power form "q^-3/4"')
+        add_common(p)
+        p.add_argument("--jobs", type=int, default=1, help="parallel workers for scans")
+        p.set_defaults(fn=cmd_scan, columns=columns)
+
+    add_scan("erdos-scan", "per-prime pair-product coverage table", ERDOS_COLUMNS)
 
     p = sub.add_parser("theorem1", help="pair-product density vs asymptotic benchmark")
     p.add_argument("--q", type=int, required=True)
@@ -409,13 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(fn=cmd_density)
 
-    p = sub.add_parser("coset-scan", help="coset obstruction table over a prime range")
-    p.add_argument("--q", type=int)
-    p.add_argument("--q-min", type=int)
-    p.add_argument("--q-max", type=int)
-    p.add_argument("--eta", default="1")
-    add_common(p, jobs=True)
-    p.set_defaults(fn=cmd_coset_scan)
+    add_scan("coset-scan", "coset obstruction table over a prime range", COSET_COLUMNS)
 
     p = sub.add_parser("omega-sum", help="partial sums of z^Omega(n) vs main term")
     p.add_argument("--x", type=int, nargs="+", default=(10**5,))

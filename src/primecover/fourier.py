@@ -31,22 +31,6 @@ from .reports import FAIL, PASS, RECORDED, AuditReport
 from .sieves import LOWER, UPPER, SieveWeights
 
 
-@dataclass
-class SpectrumAdditive:
-    """Additive Fourier coefficients, indexed by frequency r in [0, q-1]."""
-
-    q: int
-    values: np.ndarray
-
-
-@dataclass
-class SpectrumMultiplicative:
-    """Multiplicative Fourier coefficients, indexed by character j in [0, q-2]."""
-
-    q: int
-    values: np.ndarray
-
-
 def _as_mod_array(f: np.ndarray, q: int) -> np.ndarray:
     arr = np.asarray(f, dtype=np.complex128)
     if arr.shape != (q,):
@@ -54,13 +38,12 @@ def _as_mod_array(f: np.ndarray, q: int) -> np.ndarray:
     return arr
 
 
-def additive_transform(f: np.ndarray, q: int) -> SpectrumAdditive:
-    """f^(r) = sum_a f(a) e(-ra/q) for all r, via FFT."""
-    qv = modulus_value(q)
-    return SpectrumAdditive(qv, np.fft.fft(_as_mod_array(f, qv)))
+def additive_transform(f: np.ndarray, q: int) -> np.ndarray:
+    """f^(r) = sum_a f(a) e(-ra/q), indexed by frequency r in [0, q-1], via FFT."""
+    return np.fft.fft(_as_mod_array(f, modulus_value(q)))
 
 
-def additive_transform_naive(f: np.ndarray, q: int) -> SpectrumAdditive:
+def additive_transform_naive(f: np.ndarray, q: int) -> np.ndarray:
     """Direct-definition transform over the support of f (oracle path)."""
     qv = modulus_value(q)
     arr = _as_mod_array(f, qv)
@@ -69,27 +52,25 @@ def additive_transform_naive(f: np.ndarray, q: int) -> SpectrumAdditive:
     rs = np.arange(qv)
     for a in support:
         out += arr[a] * np.exp(-2j * np.pi * (rs * int(a) % qv) / qv)
-    return SpectrumAdditive(qv, out)
+    return out
 
 
-def mult_transform(f: np.ndarray, table) -> SpectrumMultiplicative:
-    """f^(chi_j) for all j at once: FFT of f reindexed by discrete logs."""
-    q = table.q
-    arr = _as_mod_array(f, q)
+def mult_transform(f: np.ndarray, table) -> np.ndarray:
+    """f^(chi_j), indexed by character j in [0, q-2]: FFT of f reindexed by discrete logs."""
+    arr = _as_mod_array(f, table.q)
     if abs(arr[0]) != 0:
         raise ValueError("multiplicative transforms need f(0) = 0")
-    reindexed = arr[table.pow_g]
-    return SpectrumMultiplicative(q, np.fft.fft(reindexed))
+    return np.fft.fft(arr[table.pow_g])
 
 
-def mult_transform_naive(f: np.ndarray, table) -> SpectrumMultiplicative:
+def mult_transform_naive(f: np.ndarray, table) -> np.ndarray:
     """Definition-chasing transform: explicit character sums (oracle path)."""
     q = table.q
     arr = _as_mod_array(f, q)
     out = np.empty(q - 1, dtype=np.complex128)
     for j in range(q - 1):
         out[j] = (arr[1:] * np.conj(table.character_values(j)[1:])).sum()
-    return SpectrumMultiplicative(q, out)
+    return out
 
 
 def mult_convolve(f: np.ndarray, g: np.ndarray, table) -> np.ndarray:
@@ -149,8 +130,8 @@ def kloosterman(r: int, s: int, q: int) -> complex:
     return complex(_unit_roots(qv)[idx].sum())
 
 
-# q x q grids at the cap: 200 MB per int64 or float64 grid, 400 MB per complex128 one
-# (a hyperbola count's terms, weil_audit's gather per r), 50 MB for the int16 index (built in int32)
+# q x q grids at the cap: 200 MB per int64 or float64 grid (weil_audit's s n^-1 index), 400 MB
+# per complex128 one (a hyperbola count's terms), 50 MB for the int16 index (built in int32)
 GRID_MAX_MODULUS = 5000
 
 
@@ -163,6 +144,7 @@ def _grid_budget(q: int) -> int:
 
 _GATHER_ROWS = 64  # rows of Kl2 values gathered at once: 1 MB of complex at q = 1009
 _CONVOLVE_ROWS = 32  # rows of convolution terms folded at once: 0.5 MB of complex at q = 997
+_WEIL_ENTRIES = 1 << 16  # (s, n) index entries per Weil block: 1 MB of complex gathered
 
 
 @functools.lru_cache(maxsize=4)
@@ -203,15 +185,21 @@ def weil_audit(q: int, tol: float = 1e-6) -> AuditReport:
     inv = inverse_table(qv)
     roots = _unit_roots(qv)
     ns = np.arange(1, qv)
-    s_over_n = ns[:, None] * inv[1:][None, :] % qv  # [s - 1, n - 1] = s n^-1 mod q
-    idx = np.empty_like(s_over_n)
+    s_over_n = np.multiply.outer(ns, inv[1:])  # [s - 1, n - 1] = s n^-1 mod q
+    s_over_n %= qv
+    rows = min(qv - 1, _WEIL_ENTRIES // (qv - 1))  # rows of s per block: q <= 257 is one
+    idx = np.empty((rows, qv - 1), dtype=s_over_n.dtype)
+    sums = np.empty(qv - 1, dtype=np.complex128)
     bound = 2.0 * math.sqrt(qv)
     worst = 0.0
     worst_pair = None
     max_imag = 0.0
     for r in range(1, qv):
-        np.add(s_over_n, r * ns % qv, out=idx)
-        sums = roots[idx].sum(axis=1)
+        r_n = r * ns % qv
+        for lo in range(0, qv - 1, rows):
+            k = min(rows, qv - 1 - lo)
+            np.add(s_over_n[lo : lo + k], r_n, out=idx[:k])
+            sums[lo : lo + k] = roots[idx[:k]].sum(axis=1)
         max_imag = max(max_imag, float(np.abs(sums.imag).max()))
         mags = np.abs(sums)
         m = float(mags.max())
@@ -248,7 +236,7 @@ def l1_spectrum_norm(w: SieveWeights, q: int) -> AuditReport:
     if w.params.x >= qv:
         raise ValueError("needs x < q")
     spec = additive_transform(w.residue_array(qv), qv)
-    l1 = float(np.abs(spec.values[1:]).sum())
+    l1 = float(np.abs(spec[1:]).sum())
     shape = qv * w.params.x ** (2 * w.params.xi) * math.log(qv)
     return AuditReport(
         name="sieve-spectrum.l1-additive",
@@ -257,7 +245,7 @@ def l1_spectrum_norm(w: SieveWeights, q: int) -> AuditReport:
         bound=shape,
         ratio=l1 / shape,
         verdict=RECORDED,
-        details={"dc_term": float(abs(spec.values[0]))},
+        details={"dc_term": float(abs(spec[0]))},
     )
 
 
@@ -277,8 +265,7 @@ def sup_nontrivial_mult_coeff(w: SieveWeights, q: int, pv_tol: float = 1e-6) -> 
         raise ValueError("needs x <= q")
     farr = w.residue_array(qv)
     farr[0] = 0.0
-    spec = mult_transform(farr, table)
-    sup = float(np.abs(spec.values[1:]).max()) if qv > 2 else 0.0
+    sup = float(np.abs(mult_transform(farr, table)[1:]).max())  # q >= 3 leaves a nontrivial chi
     shape = x ** (2 * w.params.xi + w.params.delta) * math.sqrt(qv) * math.log(qv)
 
     prefix_bound = math.sqrt(qv) * math.log(qv)
@@ -288,8 +275,7 @@ def sup_nontrivial_mult_coeff(w: SieveWeights, q: int, pv_tol: float = 1e-6) -> 
         mult = np.zeros(qv)
         tops = np.arange(d, x + 1, d) % qv
         mult[tops[tops != 0]] = 1.0
-        dvals = np.abs(mult_transform(mult, table).values[1:])
-        m = float(dvals.max()) if dvals.size else 0.0
+        m = float(np.abs(mult_transform(mult, table)[1:]).max())
         if m > worst_prefix:
             worst_prefix, worst_d = m, d
     prefix_ok = worst_prefix <= prefix_bound + pv_tol
@@ -372,10 +358,9 @@ def solution_count_fourier(w: SieveWeights, a: int, q: int) -> SolutionCountRepo
         terms[block] *= row[idx]
         abs_terms[block] *= abs_row[idx]
     offdiag = terms.sum()
-    cross_r = (-1.0) * (tail.sum() * w0)
-    cross_s = (-1.0) * (w0 * tail.sum())
+    cross = (-1.0) * (tail.sum() * w0)  # each axis: Ramanujan sum -1 against w^(0)
     main = (qv - 1) * w0 * w0
-    spectral = (main + cross_r + cross_s + offdiag) / qv**2
+    spectral = (main + cross + cross + offdiag) / qv**2
 
     offdiag_abs = float(abs_terms.sum()) / qv**2
     weil_bound = float(abs_tail.sum()) ** 2 * 2.0 * math.sqrt(qv) / qv**2
@@ -394,18 +379,20 @@ def solution_count_fourier(w: SieveWeights, a: int, q: int) -> SolutionCountRepo
     )
 
 
-def parseval_gap_additive(f: np.ndarray, q: int) -> float:
-    """Relative Parseval defect |sum|f^|^2 - q*sum|f|^2| / (q*sum|f|^2)."""
-    spec = additive_transform(f, q)
-    arr = _as_mod_array(f, spec.q)
-    lhs = float((np.abs(spec.values) ** 2).sum())
-    rhs = spec.q * float((np.abs(arr) ** 2).sum())
+def _parseval_defect(spec: np.ndarray, arr: np.ndarray) -> float:
+    """|sum|f^|^2 - N*sum|f|^2| / (N*sum|f|^2) over a group of order N = len(arr)."""
+    lhs = float((np.abs(spec) ** 2).sum())
+    rhs = len(arr) * float((np.abs(arr) ** 2).sum())
     return abs(lhs - rhs) / rhs if rhs else abs(lhs)
+
+
+def parseval_gap_additive(f: np.ndarray, q: int) -> float:
+    """Relative Parseval defect over Z/qZ."""
+    spec = additive_transform(f, q)
+    return _parseval_defect(spec, _as_mod_array(f, len(spec)))
 
 
 def parseval_gap_multiplicative(f: np.ndarray, table) -> float:
     """Relative Parseval defect over the character group."""
     arr = _as_mod_array(f, table.q)
-    lhs = float((np.abs(mult_transform(arr, table).values) ** 2).sum())
-    rhs = (table.q - 1) * float((np.abs(arr[1:]) ** 2).sum())
-    return abs(lhs - rhs) / rhs if rhs else abs(lhs)
+    return _parseval_defect(mult_transform(arr, table), arr[1:])

@@ -322,8 +322,20 @@ def test_theorem3_rejects_k_below_one_first(monkeypatch, capsys):
 def test_omega_sum_rejects_x_past_sieve_budget(capsys):
     assert main(["omega-sum", "--x", "2000000000"]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "error: factor sieve budget is x <= 10^7, got x = 2000000000"
+        "error: --x must lie in [100, 10^7], the factor sieve budget; got 2000000000"
     ]
+
+
+@pytest.mark.parametrize(
+    "xs", [["10000000", "1000000000"], ["1000", "99"], ["99", "1000"], ["100", "10000001"]]
+)
+def test_omega_sum_checks_every_x_before_any_sieve(xs, monkeypatch, capsys):
+    from primecover import coset
+
+    monkeypatch.setattr(coset, "factor_sieve", lambda x: pytest.fail(f"sieve built to {x}"))
+    assert main(["omega-sum", "--x", *xs]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --x ")
 
 
 def test_omega_sum_at_sieve_budget(tmp_path, monkeypatch):
@@ -367,6 +379,28 @@ def test_seed_only_on_audit(argv, capsys):
         main([*argv, "--seed", "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ["all", "ruzsa", "parseval"])
+def test_negative_seed_refused_before_any_suite(suite, monkeypatch, capsys):
+    from primecover import audits
+
+    for name in audits.SUITES:
+        monkeypatch.setitem(audits.SUITES, name, lambda seed=0: pytest.fail("a suite ran"))
+    assert main(["audit", suite, "--seed", "-1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "--seed" in err[0]
+
+
+def test_scan_reads_the_row_function_when_it_runs(tmp_path, monkeypatch):
+    cli.build_parser()  # built before the row functions are rebound, as under a tracer
+    seen = []
+    for name in ("_erdos_row", "_coset_row"):
+        row = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda task, row=row: seen.append(task[0]) or row(task))
+    run_cli(tmp_path, "e.csv", "erdos-scan", "--q", "101")
+    run_cli(tmp_path, "c.csv", "coset-scan", "--q", "103")
+    assert seen == [101, 103]
 
 
 @pytest.mark.parametrize(

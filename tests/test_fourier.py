@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,14 +40,14 @@ def test_additive_transform_delta_at_zero():
     f = np.zeros(q)
     f[0] = 1.0
     spec = additive_transform(f, q)
-    assert np.allclose(spec.values, np.ones(q))
+    assert np.allclose(spec, np.ones(q))
 
 
 def test_additive_transform_constant():
     q = 11
     spec = additive_transform(np.ones(q), q)
-    assert spec.values[0] == pytest.approx(q)
-    assert np.abs(spec.values[1:]).max() < 1e-9
+    assert spec[0] == pytest.approx(q)
+    assert np.abs(spec[1:]).max() < 1e-9
 
 
 def test_additive_transform_two_point():
@@ -55,15 +56,15 @@ def test_additive_transform_two_point():
     f[1] = f[2] = 1.0
     spec = additive_transform(f, q)
     expected = cmath.exp(-2j * cmath.pi / 5) + cmath.exp(-4j * cmath.pi / 5)
-    assert spec.values[1] == pytest.approx(expected, abs=1e-12)
+    assert spec[1] == pytest.approx(expected, abs=1e-12)
 
 
 def test_additive_fast_vs_naive():
     rng = np.random.default_rng(1)
     for q in (5, 101, 499):
         f = _rand_fn(rng, q)
-        fast = additive_transform(f, q).values
-        slow = additive_transform_naive(f, q).values
+        fast = additive_transform(f, q)
+        slow = additive_transform_naive(f, q)
         assert np.abs(fast - slow).max() < 1e-9 * max(1.0, np.abs(slow).max())
 
 
@@ -73,8 +74,8 @@ def test_mult_transform_constant():
     f = np.zeros(q)
     f[1:] = 1.0
     spec = mult_transform(f, table)
-    assert spec.values[0] == pytest.approx(q - 1)
-    assert np.abs(spec.values[1:]).max() < 1e-9
+    assert spec[0] == pytest.approx(q - 1)
+    assert np.abs(spec[1:]).max() < 1e-9
 
 
 def test_mult_transform_prime_indicator_q5():
@@ -83,7 +84,7 @@ def test_mult_transform_prime_indicator_q5():
     for p in prime_residues(5, 1):
         f[p] = 1.0
     spec = mult_transform(f, table)
-    assert spec.values[0] == pytest.approx(2.0)  # |P_1| = 2
+    assert spec[0] == pytest.approx(2.0)  # |P_1| = 2
 
 
 def test_mult_transform_fast_vs_naive():
@@ -91,8 +92,8 @@ def test_mult_transform_fast_vs_naive():
     for q in (13, 101):
         table = character_table(q)
         f = _rand_fn(rng, q)
-        fast = mult_transform(f, table).values
-        slow = mult_transform_naive(f, table).values
+        fast = mult_transform(f, table)
+        slow = mult_transform_naive(f, table)
         assert np.abs(fast - slow).max() < 1e-9 * max(1.0, np.abs(slow).max())
 
 
@@ -164,11 +165,22 @@ def _per_r_weil(q):
     return worst, worst_pair, max_imag
 
 
-@pytest.mark.parametrize("q", [5, 7, 101, 211])
+@pytest.mark.parametrize("q", [5, 7, 101, 211, 307])  # 307: two blocks of s rows
 def test_weil_audit_is_bit_identical_to_per_r_formula(q):
     # a negative tolerance fails every audit, so the report names its worst pair
     rep = weil_audit(q, tol=-1.0)
     assert (rep.computed, rep.witness, rep.details["max_imag"]) == _per_r_weil(q)
+
+
+def test_weil_audit_memory_is_one_index_plus_a_block():
+    # the s n^-1 index is 2 MB at q = 499; a (q-1)^2 complex gather per r would add 4 MB
+    tracemalloc.start()
+    try:
+        weil_audit(499)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("q", [5, 7, 101, 1009])
@@ -266,9 +278,9 @@ def test_convolution_spectral_identity_conjugated():
     table = character_table(q)
     f = _rand_fn(rng, q)
     g = _rand_fn(rng, q)
-    ch = mult_transform(mult_convolve(f, g, table), table).values
-    fh = mult_transform(f, table).values
-    gh = mult_transform(g, table).values
+    ch = mult_transform(mult_convolve(f, g, table), table)
+    fh = mult_transform(f, table)
+    gh = mult_transform(g, table)
     true_form = fh * np.conj(gh[(-np.arange(n)) % n])
     scale = np.abs(ch).max()
     assert np.abs(ch - true_form).max() < 1e-9 * scale
