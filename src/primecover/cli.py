@@ -18,13 +18,12 @@ import json
 import math
 import re
 import sys
-from fractions import Fraction
 
 import numpy as np
 
 from . import audits, coset, products, sieves
 from .modular import MAX_MODULUS, character_table, modulus_value, primes_in_range
-from .primes import ETA_MAX_DENOMINATOR, FACTOR_SIEVE_MAX, Eta, parse_fraction, prime_residues
+from .primes import FACTOR_SIEVE_MAX, Eta, parse_fraction, prime_residues
 from .reports import AuditReport, _clean, _csv_cell, reports_to_csv, reports_to_json
 from .residues import ResidueSet
 
@@ -63,7 +62,7 @@ def _emit_reports(args, reports: list[AuditReport]) -> int:
 
 def _q_list(args) -> list[int]:
     if args.q is not None:
-        return [args.q]  # validated by the row's first library call
+        return [args.q]  # checked by the parser
     if args.q_min is None or args.q_max is None:
         raise ValueError("need --q or both --q-min and --q-max")
     if args.q_max > MAX_MODULUS:
@@ -138,27 +137,7 @@ def cmd_scan(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# theorem1 / theorem2 / theorem3
-
-
-def _epsilon_exponent(text: str, base: Fraction) -> tuple[Fraction, Fraction]:
-    """--epsilon > 0 and the eta exponent base + epsilon, refused before any power is taken."""
-    eps = parse_fraction(text, "--epsilon")
-    if eps <= 0 or (base + eps).denominator > ETA_MAX_DENOMINATOR:
-        raise ValueError(
-            f"--epsilon must be > 0, with {base} + epsilon of denominator <= {ETA_MAX_DENOMINATOR}"
-        )
-    return eps, base + eps
-
-
-def cmd_theorem1(args) -> int:
-    """Pair-product density at eta = q^(epsilon - 1/4) vs (2e/(3+4e))^2."""
-    eps, expo = _epsilon_exponent(args.epsilon, Fraction(-1, 4))
-    if eps > Fraction(1, 4):
-        raise ValueError("--epsilon must lie in (0, 1/4]")
-    eta = Eta.power(expo)
-    rep = products.density_report(args.q, eta, epsilon=float(eps))
-    return _emit_reports(args, [rep])
+# theorem2 / theorem3
 
 
 def _convolution_positivity(
@@ -202,17 +181,11 @@ def _convolution_positivity(
 
 def cmd_theorem2(args) -> int:
     """Six-fold prime products: direct union check plus convolution positivity."""
-    base = Fraction(-1, 16) if args.mode == "i" else Fraction(-1, 4)
-    default = (-base, Fraction(0))  # eta = 1
-    eps, expo = default if args.epsilon is None else _epsilon_exponent(args.epsilon, base)
-    if expo > 0:
-        raise ValueError("epsilon too large: eta would exceed 1")
-    eta = Eta.power(expo)
-    q = modulus_value(args.q)
+    q, eta = args.q, Eta.parse(args.eta)
     if min(eta.largest_admitted(q), q - 1) < 4:
         raise ValueError(
-            f"the sieve range min(eta*q, q - 1) must be at least 4; raise --q or --epsilon "
-            f"(got --q {q}, --epsilon {eps})"
+            f"the sieve range min(eta*q, q - 1) must be at least 4; raise --q or --eta "
+            f"(got --q {q}, --eta {args.eta})"
         )
 
     p = prime_residues(q, eta)  # min(eta*q, q - 1) >= 4 puts 2 and 3 in P
@@ -220,7 +193,7 @@ def cmd_theorem2(args) -> int:
     missing = union.complement_units()
     cover = AuditReport(
         name="almost-prime.six-fold-cover",
-        params={"q": q, "eta": eta.label(), "mode": args.mode},
+        params={"q": q, "eta": eta.label()},
         computed=float(cover_k) if cover_k else None,
         bound=float(products.COVER_FACTORS),
         verdict="recorded",
@@ -238,11 +211,8 @@ def cmd_theorem2(args) -> int:
 
 def cmd_theorem3(args) -> int:
     """Minimal covering exponent for P_eta, against the theoretical 48."""
-    if args.k is not None and args.k < 1:
-        raise ValueError("--k must be >= 1")
     eta = Eta.parse(args.eta)
     p = prime_residues(args.q, eta)
-    q = p.q
     if not p:
         raise ValueError("P_eta is empty; nothing to expand")
     witness = coset.coset_obstruction(p)
@@ -267,10 +237,9 @@ def cmd_theorem3(args) -> int:
             ],
             "theoretical_exponent": trace.theoretical_exponent,
         }
-        if args.k is not None:
-            details["covers_at_k"] = {"k": args.k, "covers": args.k >= k_min}  # monotone in k
         fields = dict(computed=float(k_min), bound=48.0, ratio=k_min / 48.0, details=details)
-    rep = AuditReport(name="covering.min-exponent", params={"q": q, "eta": eta.label()}, **fields)
+    params = {"q": args.q, "eta": eta.label()}
+    rep = AuditReport(name="covering.min-exponent", params=params, **fields)
     return _emit_reports(args, [rep])
 
 
@@ -339,6 +308,14 @@ def _refusal(message: str) -> str:
     return "error: " + re.sub(r"\d{21,}", lambda m: f"<{len(m[0])}-digit number>", message) + "\n"
 
 
+def _modulus(text: str) -> int:
+    """--q, checked once while parsing: an odd prime <= 10^6 (memoised, so rows test it no more)."""
+    try:
+        return modulus_value(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 class _Parser(argparse.ArgumentParser):
     """Refuses a command line with one `error:` line and exit 2, like every other refusal."""
 
@@ -354,63 +331,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_command(name: str, help_text: str, fn, **defaults) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
+        p.set_defaults(fn=fn, **defaults)
+        return p
+
+    def add_q_eta(p: argparse.ArgumentParser, required: bool = True) -> None:
+        p.add_argument("--q", type=_modulus, required=required)
+        p.add_argument("--eta", default="1", help='decimal, fraction, or power form "q^-3/4"')
 
     def add_scan(name: str, help_text: str, columns: tuple[str, ...]) -> None:
-        p = sub.add_parser(name, help=help_text)
-        for flag in ("--q", "--q-min", "--q-max"):
+        p = add_command(name, help_text, cmd_scan, columns=columns)
+        add_q_eta(p, required=False)
+        for flag in ("--q-min", "--q-max"):
             p.add_argument(flag, type=int)
-        p.add_argument("--eta", default="1", help='decimal, fraction, or power form "q^-3/4"')
-        add_common(p)
         p.add_argument("--jobs", type=int, default=1, help="parallel workers for scans")
-        p.set_defaults(fn=cmd_scan, columns=columns)
 
     add_scan("erdos-scan", "per-prime pair-product coverage table", ERDOS_COLUMNS)
 
-    p = sub.add_parser("theorem1", help="pair-product density vs asymptotic benchmark")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--epsilon", default="1/4", help="rational in (0, 1/4]")
-    add_common(p)
-    p.set_defaults(fn=cmd_theorem1)
-
-    p = sub.add_parser("theorem2", help="six-fold products: union check + convolution")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--mode", choices=("i", "ii"), default="i")
-    p.add_argument("--epsilon", default=None, help="rational; default puts eta = 1")
+    p = add_command("theorem2", "six-fold products: union check + convolution", cmd_theorem2)
+    add_q_eta(p)
     p.add_argument("--xi", type=float, default=None)
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--gamma", type=float, default=0.25, help="sieve hypothesis slack")
-    add_common(p)
-    p.set_defaults(fn=cmd_theorem2)
 
-    p = sub.add_parser("theorem3", help="minimal covering exponent for P_eta")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--eta", default="1")
-    p.add_argument("--k", type=int, default=None, help="also report whether P_eta^(k) covers")
-    add_common(p)
-    p.set_defaults(fn=cmd_theorem3)
-
-    p = sub.add_parser("density", help="|P_eta^(2)|/q report")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--eta", default="1")
-    add_common(p)
-    p.set_defaults(fn=cmd_density)
+    add_q_eta(add_command("theorem3", "minimal covering exponent for P_eta", cmd_theorem3))
+    add_q_eta(add_command("density", "|P_eta^(2)|/q report", cmd_density))
 
     add_scan("coset-scan", "coset obstruction table over a prime range", COSET_COLUMNS)
 
-    p = sub.add_parser("omega-sum", help="partial sums of z^Omega(n) vs main term")
+    p = add_command("omega-sum", "partial sums of z^Omega(n) vs main term", cmd_omega_sum)
     p.add_argument("--x", type=int, nargs="+", default=(10**5,))
     p.add_argument("--z", default="1/3", help="rotation a/b meaning z = e(2*pi*i*a/b)")
-    add_common(p)
-    p.set_defaults(fn=cmd_omega_sum)
 
-    p = sub.add_parser("audit", help="run a named audit suite")
+    p = add_command("audit", "run a named audit suite", cmd_audit)
     p.add_argument("suite", help=f"one of: {', '.join(audits.SUITES)}, all")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized audits")
-    add_common(p)
-    p.set_defaults(fn=cmd_audit)
 
     return parser
 

@@ -82,11 +82,11 @@ class Eta:
         if (self.value is None) == (self.exponent is None):
             raise ValueError("exactly one of value / exponent must be given")
         if self.value is not None and not 0 < self.value <= 1:
-            raise ValueError(f"eta value must lie in (0, 1], got {self.value}")
+            raise ValueError(f"--eta must lie in (0, 1], got {self.value}")
         if self.exponent is not None and self.exponent.denominator > ETA_MAX_DENOMINATOR:
             raise ValueError(f"--eta q^(a/b) needs a denominator b <= {ETA_MAX_DENOMINATOR}")
         if self.exponent is not None and not -1 < self.exponent <= 0:
-            raise ValueError(f"eta exponent must lie in (-1, 0], got {self.exponent}")
+            raise ValueError(f"--eta exponent must lie in (-1, 0], got {self.exponent}")
 
     @classmethod
     def literal(cls, v: float | Fraction | int) -> Eta:

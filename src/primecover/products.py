@@ -429,22 +429,20 @@ def expansion_schedule(a: ResidueSet) -> ExpansionTrace:
     )
 
 
-def density_report(q: int, eta: Eta | float | str = 1, epsilon: float | None = None) -> AuditReport:
+def density_report(q: int, eta: Eta | float | str = 1) -> AuditReport:
     """|P_eta^(2)| / q against the asymptotic benchmark (2e/(3+4e))^2.
 
-    The parameter e inverts eta = q^(-1/4+e), so e = 1/4 + log_q(eta) unless
-    passed explicitly; the benchmark is an asymptotic constant, so the
-    verdict is recorded rather than asserted.
+    The parameter e inverts eta = q^(-1/4+e), so e = 1/4 + log_q(eta); the
+    benchmark is an asymptotic constant, so the verdict is recorded rather
+    than asserted.
     """
     e = Eta.coerce(eta)
     p = prime_residues(q, e)
     qv = p.q
     p2 = product_set(p, p)
     density = len(p2) / qv
-    eps = epsilon
-    if eps is None:
-        eps = 0.25 + math.log(e.value_at(qv)) / math.log(qv) if e.value_at(qv) > 0 else None
-    benchmark = (2 * eps / (3 + 4 * eps)) ** 2 if eps and eps > 0 else None
+    eps = 0.25 + math.log(e.value_at(qv)) / math.log(qv)  # eta > 0, so the log exists
+    benchmark = (2 * eps / (3 + 4 * eps)) ** 2 if eps > 0 else None
     return AuditReport(
         name="product-density.pair-products",
         params={"q": qv, "eta": e.label()},

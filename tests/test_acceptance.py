@@ -173,8 +173,9 @@ def test_12_omega_sum_trend():
 CONFIGS = [
     ("erdos-scan", ["erdos-scan", "--q-min", "3", "--q-max", "300", "--eta", "1"], True),
     ("coset-scan", ["coset-scan", "--q-min", "3", "--q-max", "300", "--eta", "q^-1/2"], True),
-    ("theorem1", ["theorem1", "--q", "1009", "--epsilon", "1/4", "--format", "json"], False),
-    ("theorem2", ["theorem2", "--q", "101", "--mode", "i", "--format", "json"], False),
+    # Theorem 1 is density at eta = q^(epsilon - 1/4), Theorem 2 (i) theorem2 at q^(-1/16 + epsilon)
+    ("theorem1", ["density", "--q", "1009", "--eta", "q^0", "--format", "json"], False),
+    ("theorem2", ["theorem2", "--q", "101", "--eta", "q^-1/16", "--format", "json"], False),
     ("theorem3", ["theorem3", "--q", "101", "--eta", "1", "--format", "json"], False),
     ("density", ["density", "--q", "1009", "--eta", "1"], False),
     ("omega-sum", ["omega-sum", "--x", "10000", "--z", "1/3"], False),

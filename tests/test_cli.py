@@ -22,6 +22,14 @@ def run_cli(tmp_path, name, *argv):
     return code, out.read_text(encoding="utf-8")
 
 
+def exit_code(argv):
+    """main's exit code, whether a command refuses its flags or the parser refuses them."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def test_erdos_scan_rows_frozen(tmp_path):
     code, text = run_cli(tmp_path, "e.csv", "erdos-scan", "--q-min", "3", "--q-max", "7")
     assert code == 0
@@ -42,13 +50,16 @@ def test_erdos_scan_rejects_bad_range(tmp_path, capsys):
     assert main(["erdos-scan", "--q-min", "14", "--q-max", "15"]) == 2
     assert main(["erdos-scan", "--q-min", "3", "--q-max", str(2 * 10**6)]) == 2
     assert main(["erdos-scan"]) == 2
-    assert main(["erdos-scan", "--q", "15"]) == 2  # composite modulus
-    assert main(["density", "--q", "4"]) == 2
+    assert exit_code(["erdos-scan", "--q", "15"]) == 2  # composite modulus
+    assert exit_code(["density", "--q", "4"]) == 2
+
+
+# Theorem 1 is `density` at eta = q^(epsilon - 1/4)
 
 
 def test_theorem1_benchmark(tmp_path):
     code, text = run_cli(
-        tmp_path, "t1.json", "theorem1", "--q", "10007", "--epsilon", "1/4", "--format", "json"
+        tmp_path, "t1.json", "density", "--q", "10007", "--eta", "q^0", "--format", "json"
     )
     assert code == 0
     rep = json.loads(text)[0]
@@ -59,14 +70,15 @@ def test_theorem1_benchmark(tmp_path):
 
 def test_theorem1_epsilon_formula(tmp_path):
     code, text = run_cli(
-        tmp_path, "t1.json", "theorem1", "--q", "1009", "--epsilon", "1/8", "--format", "json"
+        tmp_path, "t1.json", "density", "--q", "1009", "--eta", "q^-1/8", "--format", "json"
     )
     rep = json.loads(text)[0]
     assert rep["bound"] == pytest.approx((2 * 0.125 / 3.5) ** 2)
 
 
-def test_theorem1_rejects_bad_epsilon(tmp_path):
-    assert main(["theorem1", "--q", "101", "--epsilon", "1/2"]) == 2
+def test_theorem1_rejects_bad_epsilon(capsys):
+    assert main(["density", "--q", "101", "--eta", "q^1/4"]) == 2  # epsilon = 1/2: eta > 1
+    assert capsys.readouterr().err.startswith("error: --eta ")
 
 
 def test_theorem2_q5(tmp_path):
@@ -169,25 +181,16 @@ def test_audit_exit_one_on_hard_failure(tmp_path, monkeypatch):
     assert "forced,fail" in text
 
 
-def test_theorem3_specific_k_flag(tmp_path):
-    code, text = run_cli(
-        tmp_path, "t3.json", "theorem3", "--q", "13", "--k", "2", "--format", "json"
-    )
-    rep = json.loads(text)[0]
-    assert rep["details"]["covers_at_k"] == {"k": 2, "covers": False}
-
-
 @pytest.mark.parametrize("q, eta", [(13, "1"), (10007, "q^-1/2"), (10039, "4/10039")])
 def test_theorem3_covers_at_k_around_the_least_exponent(q, eta, tmp_path):
     argv = ["theorem3", "--q", str(q), "--eta", eta, "--format", "json"]
-    k_min = int(json.loads(run_cli(tmp_path, "t3.json", *argv)[1])[0]["computed"])
+    code, text = run_cli(tmp_path, "t3.json", *argv)
+    assert code == 0
+    k_min = int(json.loads(text)[0]["computed"])
     p = prime_residues(q, eta)
-    for k in (k_min - 1, k_min, k_min + 1):
-        code, text = run_cli(tmp_path, "t3.json", *argv, "--k", str(k))
-        assert code == 0
-        covers = iterated_product(p, k).covers_units
-        assert covers is (k >= k_min)
-        assert json.loads(text)[0]["details"]["covers_at_k"] == {"k": k, "covers": covers}
+    # the k-fold product, built directly, covers first at the reported exponent
+    assert iterated_product(p, k_min).covers_units
+    assert not iterated_product(p, k_min - 1).covers_units
 
 
 def test_audit_json_structure(tmp_path):
@@ -249,15 +252,19 @@ def test_pmap_starts_no_more_workers_than_items(monkeypatch):
 @pytest.mark.parametrize(
     "argv,flag",
     [
-        (["theorem1", "--q", "101", "--epsilon", "1e-12"], "--epsilon"),
-        (["theorem1", "--q", "101", "--epsilon", "1e-300"], "--epsilon"),
-        (["theorem2", "--q", "101", "--epsilon", "1e-12"], "--epsilon"),
-        (["theorem1", "--q", "101", "--epsilon", "0"], "--epsilon"),
-        (["theorem2", "--q", "101", "--epsilon", "0"], "--epsilon"),
-        (["theorem2", "--q", "101", "--epsilon=-1/8", "--mode", "ii"], "--epsilon"),
+        # epsilon = 1e-12 and 1e-300 above -1/4: denominators past 1000
+        (["density", "--q", "101", "--eta", "q^-0.249999999999"], "--eta"),
+        (["density", "--q", "101", "--eta", "q^-1e-300"], "--eta"),
+        (["theorem2", "--q", "101", "--eta", "q^-0.249999999999"], "--eta"),
+        (["density", "--q", "101", "--eta", "0"], "--eta"),
+        (["theorem2", "--q", "101", "--eta", "0"], "--eta"),
+        (["theorem2", "--q", "101", "--eta=-1/8"], "--eta"),
         (["erdos-scan", "--q", "999983", "--eta", "q^-1/100000"], "--eta"),
         (["erdos-scan", "--q", "101", "--eta", "q^-1/1000000"], "--eta"),
         (["theorem3", "--q", "101", "--eta", "q^(-1/1001)"], "--eta"),
+        # eta above 1, and an exponent outside (-1, 0]
+        (["theorem2", "--q", "101", "--eta", "2"], "--eta"),
+        (["theorem2", "--q", "101", "--eta", "q^1/2"], "--eta"),
     ],
 )
 def test_exponent_denominators_and_epsilon_sign_rejected_fast(argv, flag, capsys):
@@ -302,21 +309,14 @@ def test_internal_error_exits_three(exc, monkeypatch, capsys):
     [
         ["erdos-scan", "--q", "101", "--eta", "1/0"],
         ["erdos-scan", "--q", "101", "--eta", "q^1/0"],
-        ["theorem1", "--q", "101", "--epsilon", "1/0"],
-        ["theorem2", "--q", "101", "--epsilon", "1/0"],
+        ["density", "--q", "101", "--eta", "q^(1/0)"],
+        ["theorem2", "--q", "101", "--eta", "1/0"],
         ["omega-sum", "--x", "100", "--z", "1/0"],
     ],
 )
 def test_zero_denominator_exits_two(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.splitlines() == ["error: zero denominator in '1/0'"]
-
-
-def test_theorem3_rejects_k_below_one_first(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "prime_residues", lambda *args: pytest.fail("primes sieved"))
-    monkeypatch.setattr(products, "expansion_schedule", lambda p: pytest.fail("expansion ran"))
-    assert main(["theorem3", "--q", "101", "--k", "0"]) == 2
-    assert capsys.readouterr().err.splitlines() == ["error: --k must be >= 1"]
 
 
 def test_omega_sum_rejects_x_past_sieve_budget(capsys):
@@ -347,18 +347,19 @@ def test_omega_sum_at_sieve_budget(tmp_path, monkeypatch):
     assert text.splitlines()[1].split(",")[:3] == ["10000000", "e(0)", "10000000"]
 
 
-@pytest.mark.parametrize("mode", ["i", "ii"])
-def test_theorem2_short_sieve_range_names_flags(mode, monkeypatch, capsys):
+# Theorem 2 (i) and (ii): eta = q^(-1/16 + epsilon) and q^(-1/4 + epsilon)
+@pytest.mark.parametrize("eta", ["q^-1/16", "q^-1/4"], ids=["i", "ii"])
+def test_theorem2_short_sieve_range_names_flags(eta, monkeypatch, capsys):
     monkeypatch.setattr(cli, "prime_residues", lambda *args: pytest.fail("primes sieved"))
-    assert main(["theorem2", "--q", "3", "--mode", mode]) == 2
+    assert main(["theorem2", "--q", "3", "--eta", eta]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
-    assert "--q 3" in err[0] and "--epsilon" in err[0]
+    assert "--q 3" in err[0] and f"--eta {eta}" in err[0]
 
 
 def test_theorem2_q5_mode_ii(tmp_path):
-    # min(eta*q, q - 1) = 4 exactly: the least admitted sieve range
-    code, _ = run_cli(tmp_path, "t2.csv", "theorem2", "--q", "5", "--mode", "ii")
+    # (ii) at epsilon = 1/4: min(eta*q, q - 1) = 4 exactly, the least admitted sieve range
+    code, _ = run_cli(tmp_path, "t2.csv", "theorem2", "--q", "5", "--eta", "q^0")
     assert code == 0
 
 
@@ -366,7 +367,6 @@ def test_theorem2_q5_mode_ii(tmp_path):
     "argv",
     [
         ["erdos-scan", "--q", "101"],
-        ["theorem1", "--q", "101"],
         ["theorem2", "--q", "101"],
         ["theorem3", "--q", "101"],
         ["density", "--q", "101"],
@@ -406,7 +406,7 @@ def test_scan_reads_the_row_function_when_it_runs(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (["theorem2", "--q", "101", "--epsilon", "-1/8"], "--epsilon"),  # -1/8 reads as an option
+        (["theorem2", "--q", "101", "--eta", "-1/8"], "--eta"),  # -1/8 reads as an option
         (["erdos-scan", "--q", "abc"], "--q"),
     ],
 )
@@ -447,22 +447,24 @@ def test_json_rows_floats_match_csv_cells(tmp_path):
     assert floats == 2 * 6
 
 
-_SINGLE_Q_COMMANDS = ("erdos-scan", "coset-scan", "theorem1", "theorem2", "theorem3", "density")
+_SINGLE_Q_COMMANDS = ("erdos-scan", "coset-scan", "theorem2", "theorem3", "density")
+_COMPOSITE = "modulus must be an odd prime >= 3, got 15"
+_OVERSIZED = "modulus budget is q <= 10^6, got 1000003"
 
 
 @pytest.mark.parametrize(
     "argv, message",
-    [([cmd, "--q", "15"], "modulus must be an odd prime >= 3, got 15") for cmd in _SINGLE_Q_COMMANDS]
-    + [
-        (["density", "--q", "1000000007"], "modulus budget is q <= 10^6, got 1000000007"),
-        (["theorem1", "--q", "1000003"], "modulus budget is q <= 10^6, got 1000003"),
-    ],
+    [([cmd, "--q", "15"], _COMPOSITE) for cmd in _SINGLE_Q_COMMANDS]
+    # the parser refuses --q before the command reads its other flags
+    + [(["theorem3", "--q", "15", "--eta", "banana"], _COMPOSITE)]
+    + [(["density", "--q", "1000000007"], "modulus budget is q <= 10^6, got 1000000007")]
+    + [([cmd, "--q", "1000003"], _OVERSIZED) for cmd in _SINGLE_Q_COMMANDS],
 )
 def test_bad_single_modulus_exits_two(argv, message, capsys):
     t0 = time.perf_counter()
-    assert main(argv) == 2
+    assert exit_code(argv) == 2
     assert time.perf_counter() - t0 < 1.0  # rejected before any sieve or table is built
-    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert capsys.readouterr().err.splitlines() == [f"error: argument --q: {message}"]
 
 
 @pytest.mark.parametrize(
@@ -526,7 +528,7 @@ _UNBOUNDED = [
     (["omega-sum", "--x", _BIG], "<401-digit number>"),
     # refused on the text, before 10^N or a 5000-digit int is built
     (["erdos-scan", "--q", "101", "--eta", "1e10000000"], "--eta"),
-    (["theorem1", "--q", "101", "--epsilon", "1e-10000000"], "--epsilon"),
+    (["density", "--q", "101", "--eta", "q^-1e-10000000"], "--eta"),
     (["erdos-scan", "--q", "101", "--eta", "1e5000"], "--eta"),
     (["erdos-scan", "--q", "101", "--eta", "7" * 5000], "--eta"),
     (["omega-sum", "--x", "1000", "--z", "1e5000"], "--z"),
@@ -534,7 +536,7 @@ _UNBOUNDED = [
     (["erdos-scan", "--q", "101", "--eta", "banana"], "--eta"),
     (["erdos-scan", "--q", "101", "--eta", "q^(-1/2"], "--eta"),
     (["omega-sum", "--x", "1000", "--z", "1e15/3"], "--z"),
-    (["theorem1", "--q", "101", "--epsilon", "abc"], "--epsilon"),
+    (["theorem2", "--q", "101", "--eta", "q^abc"], "--eta"),
     (["erdos-scan", "--q", "101", "--eta", "x" * 999], "--eta"),
 ]
 
@@ -542,7 +544,7 @@ _UNBOUNDED = [
 @pytest.mark.parametrize("argv, named", _UNBOUNDED, ids=[f"argv{i}" for i in range(len(_UNBOUNDED))])
 def test_refusal_of_an_unbounded_number_is_one_short_line(argv, named, capsys):
     t0 = time.perf_counter()
-    assert main(argv) == 2
+    assert exit_code(argv) == 2
     assert time.perf_counter() - t0 < 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and len(err[0]) < 120
@@ -591,7 +593,7 @@ def _certificate_cases(monkeypatch, tmp_path, qs, settings):
 
 
 def test_theorem2_certificate_vs_naive_convolution(monkeypatch, tmp_path):
-    settings = (["--mode", "i"], ["--mode", "ii"], ["--mode", "ii", "--epsilon", "1/8"])
+    settings = ([], ["--eta", "q^-1/16"], ["--eta", "q^-1/8"])
     cases = 0
     for rep, (low, witnesses) in _certificate_cases(
         monkeypatch, tmp_path, modular.primes_in_range(5, 211), settings
@@ -616,7 +618,7 @@ def test_theorem2_certificate_witnesses_vs_naive(edit, monkeypatch, tmp_path):
     monkeypatch.setattr(
         sieves.SieveWeights, "residue_array", lambda w, q: _WEIGHT_EDITS[edit](real(w, q))
     )
-    setting = ["--mode", "ii", "--epsilon", "1/8"]  # P.P misses 17 residues at 101, 21 at 211
+    setting = ["--eta", "q^-1/8"]  # P.P misses 17 residues at 101, 21 at 211
     for rep, (low, witnesses) in _certificate_cases(monkeypatch, tmp_path, (101, 211), (setting,)):
         assert rep["details"]["positive_everywhere"] is False
         assert (rep["computed"], rep["witness"]) == (low, witnesses)
@@ -631,12 +633,12 @@ def test_theorem2_certificate_witnesses_vs_naive(edit, monkeypatch, tmp_path):
 def test_theorem2_non_integral_weights_are_an_internal_error(monkeypatch, capsys):
     real = sieves.SieveWeights.residue_array
     monkeypatch.setattr(sieves.SieveWeights, "residue_array", lambda w, q: real(w, q) + 0.5)
-    assert main(["theorem2", "--q", "101", "--mode", "ii"]) == 3  # |P| = 25: sums land on halves
+    assert main(["theorem2", "--q", "101"]) == 3  # |P| = 25: sums land on halves
     assert capsys.readouterr().err.startswith("internal error: AssertionError")
 
 
 def test_theorem2_certificate_at_the_ceiling(tmp_path):
-    argv = ["theorem2", "--q", "999983", "--mode", "ii", "--format", "json"]
+    argv = ["theorem2", "--q", "999983", "--format", "json"]
     code, text = run_cli(tmp_path, "t2.json", *argv)
     assert code == 0
     _, positivity = json.loads(text)

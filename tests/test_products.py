@@ -572,5 +572,5 @@ def test_density_report_q5():
 
 
 def test_density_benchmark_formula():
-    rep = density_report(101, 1, epsilon=0.125)
+    rep = density_report(101, "q^-1/8")  # epsilon = 1/4 - 1/8
     assert rep.bound == pytest.approx((2 * 0.125 / 3.5) ** 2)
