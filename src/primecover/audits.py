@@ -24,7 +24,6 @@ WEIL_MODULI = (5, 7, 101, 211)
 FREIMAN_MODULI = (11, 13)
 SIEVE_X = 10**4
 SIEVE_XIS = (0.1, 0.15, 0.2)
-SIEVE_DELTA = 0.05
 LOWER_SUM_X = 10**6
 
 
@@ -101,16 +100,16 @@ def suite_sieve(seed: int = 0) -> list[AuditReport]:
     """Every weight clause exhaustively at x = 10^4, plus the lower-sum sign."""
     out: list[AuditReport] = []
     for xi in SIEVE_XIS:
-        params = sieves.SieveParams(SIEVE_X, xi, delta=SIEVE_DELTA)
+        params = sieves.SieveParams(SIEVE_X, xi)
         out.extend(sieves.audit_weights(sieves.selberg_upper(params)))
         out.extend(sieves.audit_weights(sieves.linear_lower(params)))
 
-    big = sieves.linear_lower(sieves.SieveParams(LOWER_SUM_X, 0.1, delta=SIEVE_DELTA))
+    big = sieves.linear_lower(sieves.SieveParams(LOWER_SUM_X, 0.1))
     total = sieves.weight_sum(big)
     out.append(
         AuditReport(
             name="lower.weight-sum-positive",
-            params={"x": LOWER_SUM_X, "xi": 0.1, "delta": SIEVE_DELTA},
+            params={"x": LOWER_SUM_X, "xi": 0.1, "delta": sieves.DELTA},
             computed=total,
             bound=0.0,
             verdict=PASS if total > 0 else FAIL,
@@ -263,10 +262,10 @@ def suite_mult_coeff(seed: int = 0) -> list[AuditReport]:
     """Sup of nontrivial multiplicative coefficients of the lower weights.
 
     At q = 10007, x = q^0.9, the prefix-sum chain gives ratio <= 1 against
-    x^(2*xi+delta) * sqrt(q) * log(q); the intermediate prefix bound is hard.
+    x^(2*xi+DELTA) * sqrt(q) * log(q); the intermediate prefix bound is hard.
     """
     q = 10007
-    w = sieves.linear_lower(sieves.SieveParams(int(q**0.9), 0.15, delta=0.05))
+    w = sieves.linear_lower(sieves.SieveParams(int(q**0.9), 0.15))
     rep = fourier.sup_nontrivial_mult_coeff(w, q)
     rep.details["ratio_below_one"] = bool(rep.ratio <= 1.0)
     return [rep]

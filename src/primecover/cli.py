@@ -61,15 +61,16 @@ def _emit_reports(args, reports: list[AuditReport]) -> int:
 
 
 def _q_list(args) -> list[int]:
-    if args.q is not None:
+    bounds = (args.q_min, args.q_max)
+    if args.q is not None and bounds == (None, None):
         return [args.q]  # checked by the parser
-    if args.q_min is None or args.q_max is None:
-        raise ValueError("need --q or both --q-min and --q-max")
+    if args.q is not None or None in bounds:
+        raise ValueError("give either --q or both --q-min and --q-max")
     if args.q_max > MAX_MODULUS:
-        raise ValueError("scan budget is q <= 10^6")
+        raise ValueError(f"--q-max must be <= 10^6, the scan budget; got {args.q_max}")
     qs = primes_in_range(max(args.q_min, 3), args.q_max)
     if not qs:
-        raise ValueError(f"no odd primes in [{args.q_min}, {args.q_max}]")
+        raise ValueError(f"--q-min {args.q_min} --q-max {args.q_max} holds no odd prime")
     return qs
 
 
@@ -140,24 +141,21 @@ def cmd_scan(args) -> int:
 # theorem2 / theorem3
 
 
-def _convolution_positivity(
-    p: ResidueSet, eta: Eta, xi: float | None, delta: float, gamma: float
-) -> AuditReport:
+def _convolution_positivity(p: ResidueSet, eta: Eta) -> AuditReport:
     """Pointwise positivity of w- * 1_P * 1_P, computed exactly on the group."""
     q = p.q
     x = min(eta.largest_admitted(q), q - 1)
     log_eta = math.log(eta.value_at(q)) / math.log(q)
-    xi_ceiling = (0.25 + log_eta) / (1 + log_eta) - delta / 2
-    if xi is None:
-        if xi_ceiling <= 0:
-            return AuditReport(
-                name="almost-prime.convolution-positivity",
-                params={"q": q, "eta": eta.label()},
-                verdict="recorded",
-                details={"note": "no admissible xi (range too short)", "xi_ceiling": xi_ceiling},
-            )
-        xi = 0.95 * xi_ceiling
-    w = sieves.linear_lower(sieves.SieveParams(x, xi, delta=delta, gamma=gamma))
+    xi_ceiling = (0.25 + log_eta) / (1 + log_eta) - sieves.DELTA / 2
+    if xi_ceiling <= 0:
+        return AuditReport(
+            name="almost-prime.convolution-positivity",
+            params={"q": q, "eta": eta.label()},
+            verdict="recorded",
+            details={"note": "no admissible xi (range too short)", "xi_ceiling": xi_ceiling},
+        )
+    xi = 0.95 * xi_ceiling  # just below the ceiling that eta sets
+    w = sieves.linear_lower(sieves.SieveParams(x, xi))
     # every lambda_d of w- is +-1, so w- is integral, and w- * r, with r(b) the number of
     # (y, z) in P^2 with yz = b, is an exact integer convolution over the discrete logs
     pow_g = character_table(q).pow_g
@@ -170,7 +168,7 @@ def _convolution_positivity(
     witnesses = (np.flatnonzero(units <= 0)[:8] + 1).tolist()
     return AuditReport(
         name="almost-prime.convolution-positivity",
-        params={"q": q, "eta": eta.label(), "xi": xi, "delta": delta},
+        params={"q": q, "eta": eta.label(), "xi": xi, "delta": sieves.DELTA},
         computed=float(units.min()),
         bound=0.0,
         verdict="recorded",
@@ -205,7 +203,7 @@ def cmd_theorem2(args) -> int:
             "prime_count": len(p),
         },
     )
-    positivity = _convolution_positivity(p, eta, args.xi, args.delta, args.gamma)
+    positivity = _convolution_positivity(p, eta)
     return _emit_reports(args, [cover, positivity])
 
 
@@ -351,11 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_scan("erdos-scan", "per-prime pair-product coverage table", ERDOS_COLUMNS)
 
-    p = add_command("theorem2", "six-fold products: union check + convolution", cmd_theorem2)
-    add_q_eta(p)
-    p.add_argument("--xi", type=float, default=None)
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--gamma", type=float, default=0.25, help="sieve hypothesis slack")
+    add_q_eta(add_command("theorem2", "six-fold products: union check + convolution", cmd_theorem2))
 
     add_q_eta(add_command("theorem3", "minimal covering exponent for P_eta", cmd_theorem3))
     add_q_eta(add_command("density", "|P_eta^(2)|/q report", cmd_density))

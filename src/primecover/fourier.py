@@ -28,7 +28,7 @@ import numpy as np
 
 from .modular import character_table, inverse_table, modulus_value
 from .reports import FAIL, PASS, RECORDED, AuditReport
-from .sieves import LOWER, UPPER, SieveWeights
+from .sieves import DELTA, LOWER, UPPER, SieveWeights
 
 
 def _as_mod_array(f: np.ndarray, q: int) -> np.ndarray:
@@ -113,7 +113,6 @@ def mult_convolve_naive(f: np.ndarray, g: np.ndarray, q: int) -> np.ndarray:
 # Kloosterman sums
 
 
-@functools.lru_cache(maxsize=4)
 def _unit_roots(q: int) -> np.ndarray:
     """e(t/q) at t and t + q for t in [0, q-1]: a sum of two residues indexes it without % q."""
     return np.tile(np.exp(2j * np.pi * np.arange(q) / q), 2)
@@ -250,7 +249,7 @@ def l1_spectrum_norm(w: SieveWeights, q: int) -> AuditReport:
 
 
 def sup_nontrivial_mult_coeff(w: SieveWeights, q: int, pv_tol: float = 1e-6) -> AuditReport:
-    """sup over chi != chi_0 of |w^(chi)| vs x^(2*xi+delta) * sqrt(q) * log q.
+    """sup over chi != chi_0 of |w^(chi)| vs x^(2*xi+DELTA) * sqrt(q) * log q.
 
     Also audits the intermediate prefix-sum step: for every nontrivial chi
     and every d in the support, |sum_{n<=x, d|n} conj(chi)(n)| must respect
@@ -266,7 +265,7 @@ def sup_nontrivial_mult_coeff(w: SieveWeights, q: int, pv_tol: float = 1e-6) -> 
     farr = w.residue_array(qv)
     farr[0] = 0.0
     sup = float(np.abs(mult_transform(farr, table)[1:]).max())  # q >= 3 leaves a nontrivial chi
-    shape = x ** (2 * w.params.xi + w.params.delta) * math.sqrt(qv) * math.log(qv)
+    shape = x ** (2 * w.params.xi + DELTA) * math.sqrt(qv) * math.log(qv)
 
     prefix_bound = math.sqrt(qv) * math.log(qv)
     worst_prefix = 0.0
@@ -281,7 +280,7 @@ def sup_nontrivial_mult_coeff(w: SieveWeights, q: int, pv_tol: float = 1e-6) -> 
     prefix_ok = worst_prefix <= prefix_bound + pv_tol
     return AuditReport(
         name="sieve-spectrum.sup-multiplicative",
-        params={"q": qv, "x": x, "xi": w.params.xi, "delta": w.params.delta},
+        params={"q": qv, "x": x, "xi": w.params.xi, "delta": DELTA},
         computed=sup,
         bound=shape,
         ratio=sup / shape,

@@ -14,13 +14,16 @@ supported on squarefree d | P(z) with d <= z^2, and |lambda+_d| <= 3^nu(d)
 because |rho| <= 1.  By construction w+ >= 0 everywhere and w+(n) = 1 for
 z-rough n.
 
-Lower system (combinatorial, level D = x^(2*xi+delta)):
+Lower system (combinatorial, level D = x^(2*xi+DELTA)):
     lambda-_d = mu(d) for d = p1*...*pr | P(z), p1 > ... > pr, subject to
     p1*...*p_(m-1)*p_m^3 <= D at every even position m; else lambda-_d = 0.
 This truncation of Moebius inclusion-exclusion satisfies the fundamental
 inequality sum_{d | m} lambda-_d <= [m = 1] for every m | P(z), which gives
 w-(n) <= 1 on z-rough n and w-(n) <= 0 otherwise, with |lambda-| <= 1 and
 support inside [1, D].
+
+The slacks are constants, DELTA = GAMMA = 0.05: the theorems need only some
+small fixed slack and no caller varies it, so x and xi alone shape a system.
 
 audit_weights checks each clause above on every n in [1, x] and every d in
 the support.  The sums get a verdict only on the upper side: sum w+ may be at
@@ -44,28 +47,25 @@ LOWER = "lower"
 _TOL = 1e-9
 # sum w+ / (x / (xi log x)) above this fails upper.weight-sum
 WEIGHT_SUM_CEILING = 2.0
+DELTA = 0.05  # the lower level is x^(2*xi + DELTA)
+GAMMA = 0.05  # hypothesis slack: xi < (1 - GAMMA)/2, less DELTA/2 for the lower system
 
 
 @dataclass(frozen=True)
 class SieveParams:
-    """Shape parameters: sifting range x, exponent xi, lower-sieve slack delta.
+    """Shape parameters: sifting range x and exponent xi; DELTA = GAMMA = 0.05 are fixed.
 
     z = x^xi is the sifting threshold.  The support level is x^(2*xi) for the
-    upper system and x^(2*xi + delta) for the lower one.  gamma is the
-    hypothesis slack: the upper system needs xi < 1/2 - gamma/2 and the lower
-    one xi < 1/2 - gamma/2 - delta/2.
+    upper system and x^(2*xi + DELTA) for the lower one.  The upper system
+    needs xi < (1 - GAMMA)/2 and the lower one xi < (1 - GAMMA - DELTA)/2.
     """
 
     x: int
     xi: float
-    delta: float = 0.0
-    gamma: float = 0.05
 
     def __post_init__(self) -> None:
         if self.x < 4:
             raise ValueError("x must be at least 4")
-        if self.delta < 0 or self.gamma <= 0:
-            raise ValueError("delta must be >= 0 and gamma > 0")
 
     @property
     def z(self) -> float:
@@ -77,20 +77,15 @@ class SieveParams:
 
     @property
     def level_lower(self) -> float:
-        return float(self.x) ** (2 * self.xi + self.delta)
+        return float(self.x) ** (2 * self.xi + DELTA)
 
     def check_upper(self) -> None:
-        if not 0 < self.xi < 0.5 - self.gamma / 2:
-            raise ValueError(
-                f"upper sieve needs 0 < xi < 1/2 - gamma/2; got xi={self.xi}, gamma={self.gamma}"
-            )
+        if not 0 < self.xi < 0.5 - GAMMA / 2:
+            raise ValueError(f"upper sieve needs 0 < xi < (1 - GAMMA)/2; got xi={self.xi}")
 
     def check_lower(self) -> None:
-        if not 0 < self.xi < 0.5 - self.gamma / 2 - self.delta / 2:
-            raise ValueError(
-                "lower sieve needs 0 < xi < 1/2 - gamma/2 - delta/2; "
-                f"got xi={self.xi}, gamma={self.gamma}, delta={self.delta}"
-            )
+        if not 0 < self.xi < 0.5 - GAMMA / 2 - DELTA / 2:
+            raise ValueError(f"lower sieve needs 0 < xi < (1 - GAMMA - DELTA)/2; got xi={self.xi}")
 
 
 def sifting_primes(z: float) -> list[int]:
@@ -208,7 +203,7 @@ def selberg_upper(params: SieveParams) -> SieveWeights:
 
 
 def linear_lower(params: SieveParams) -> SieveWeights:
-    """Combinatorial lower weights at level x^(2*xi + delta); see module docstring."""
+    """Combinatorial lower weights at level x^(2*xi + DELTA); see module docstring."""
     params.check_lower()
     level = params.level_lower
     primes_desc = sifting_primes(params.z)[::-1]
@@ -257,7 +252,7 @@ def audit_weights(w: SieveWeights) -> list[AuditReport]:
     x = params.x
     if x > 10**6:
         raise ValueError("exhaustive clause audits are budgeted for x <= 10^6")
-    meta = {"x": x, "xi": params.xi, "delta": params.delta, "kind": w.kind}
+    meta = {"x": x, "xi": params.xi, "delta": DELTA, "kind": w.kind}
     sieve = factor_sieve(max(x, int(w.level) + 1, 2))
     warr = w.weight_array()
     rough = sieve.rough_mask(max(w.z, 2.0))[: x + 1]

@@ -1,5 +1,8 @@
+import argparse
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -46,10 +49,28 @@ def test_erdos_scan_regression_q10007(tmp_path):
     assert text.splitlines()[1] == "10007,1229,10006,0,"  # nothing missing
 
 
-def test_erdos_scan_rejects_bad_range(tmp_path, capsys):
-    assert main(["erdos-scan", "--q-min", "14", "--q-max", "15"]) == 2
-    assert main(["erdos-scan", "--q-min", "3", "--q-max", str(2 * 10**6)]) == 2
-    assert main(["erdos-scan"]) == 2
+def _names(line: str, flag: str) -> bool:
+    """flag appears in line as a whole option: --q does not match inside --q-min."""
+    return re.search(re.escape(flag) + r"(?![\w-])", line) is not None
+
+
+def test_erdos_scan_rejects_bad_range(capsys):
+    cases = [
+        (["--q-min", "14", "--q-max", "15"], ("--q-min", "--q-max")),
+        (["--q-min", "3", "--q-max", str(2 * 10**6)], ("--q-max",)),
+        (["--q", "101", "--q-min", "3", "--q-max", "50"], ("--q", "--q-min", "--q-max")),
+        (["--q", "101", "--q-max", "50"], ("--q", "--q-max")),
+        (["--q-min", "3"], ("--q", "--q-min", "--q-max")),
+        ([], ("--q", "--q-min", "--q-max")),
+    ]
+    for command in ("erdos-scan", "coset-scan"):
+        for flags, named in cases:
+            assert main([command, *flags]) == 2, flags
+            out, err = capsys.readouterr()
+            assert out == ""  # no row for --q 101 when a range is given too
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), flags
+            assert all(_names(lines[0], flag) for flag in named), lines[0]
     assert exit_code(["erdos-scan", "--q", "15"]) == 2  # composite modulus
     assert exit_code(["density", "--q", "4"]) == 2
 
@@ -408,6 +429,10 @@ def test_scan_reads_the_row_function_when_it_runs(tmp_path, monkeypatch):
     [
         (["theorem2", "--q", "101", "--eta", "-1/8"], "--eta"),  # -1/8 reads as an option
         (["erdos-scan", "--q", "abc"], "--q"),
+        # theorem2 derives its sieve exponent from --eta; the sieve slacks are constants
+        (["theorem2", "--q", "101", "--xi", "0.2"], "--xi"),
+        (["theorem2", "--q", "101", "--delta", "0.05"], "--delta"),
+        (["theorem2", "--q", "101", "--gamma", "0.25"], "--gamma"),
     ],
 )
 def test_argparse_refusal_is_one_error_line(argv, flag, capsys):
@@ -416,6 +441,22 @@ def test_argparse_refusal_is_one_error_line(argv, flag, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and flag in err[0]
+
+
+def test_every_option_is_documented_in_readme():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    subparsers = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    options = {
+        (command, flag)
+        for command, sub in subparsers.choices.items()
+        for action in sub._actions
+        if not isinstance(action, argparse._HelpAction)
+        for flag in action.option_strings
+    }
+    assert len(options) > 10
+    assert sorted(o for o in options if not _names(readme, o[1])) == []
 
 
 def test_cached_parser_leaks_no_option_between_calls(tmp_path):

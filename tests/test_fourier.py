@@ -394,17 +394,17 @@ def test_l1_norm_requires_x_below_q():
 
 def test_sup_mult_coeff_small():
     q = 499
-    w = linear_lower(SieveParams(int(q**0.9), 0.15, delta=0.05))
+    w = linear_lower(SieveParams(int(q**0.9), 0.15))
     rep = sup_nontrivial_mult_coeff(w, q)
     assert rep.verdict == "pass"  # the prefix-sum clause is hard
     assert rep.details["prefix_max"] <= rep.details["prefix_bound"] + 1e-6
     with pytest.raises(ValueError):
-        sup_nontrivial_mult_coeff(linear_lower(SieveParams(600, 0.15, delta=0.05)), 499)
+        sup_nontrivial_mult_coeff(linear_lower(SieveParams(600, 0.15)), 499)
 
 
 def test_sup_mult_coeff_zero_weights():
     q = 101
-    w = SieveWeights(SieveParams(50, 0.15, delta=0.05), "lower", {})
+    w = SieveWeights(SieveParams(50, 0.15), "lower", {})
     rep = sup_nontrivial_mult_coeff(w, q)
     assert rep.computed == 0.0
 
@@ -412,7 +412,7 @@ def test_sup_mult_coeff_zero_weights():
 def test_sup_mult_coeff_x_equal_q_wraparound():
     # x = q is allowed; the n = q term lands on residue 0 and is dropped
     q = 101
-    w = linear_lower(SieveParams(q, 0.15, delta=0.05))
+    w = linear_lower(SieveParams(q, 0.15))
     farr = w.residue_array(q)
     warr = w.weight_array()
     assert farr[1] == pytest.approx(warr[1])

@@ -20,7 +20,7 @@ from primecover.sieves import (
     weight_sum_reference,
 )
 
-GRID = [SieveParams(10**4, xi, delta=0.05) for xi in (0.1, 0.15, 0.2)]
+GRID = [SieveParams(10**4, xi) for xi in (0.1, 0.15, 0.2)]
 
 
 def dirac_weights(x: int, xi: float = 0.25) -> SieveWeights:
@@ -45,11 +45,11 @@ def divisor_subset_sums(lam: dict[int, float], m_primes: list[int]) -> float:
 
 def test_param_validation():
     with pytest.raises(ValueError):
-        selberg_upper(SieveParams(10**4, 0.49, gamma=0.05))  # xi too close to 1/2
+        selberg_upper(SieveParams(10**4, 0.49))  # past (1 - GAMMA)/2 = 0.475
     with pytest.raises(ValueError):
         selberg_upper(SieveParams(10**4, 0.0))
     with pytest.raises(ValueError):
-        linear_lower(SieveParams(10**4, 0.48, delta=0.05, gamma=0.05))
+        linear_lower(SieveParams(10**4, 0.48))  # past (1 - GAMMA - DELTA)/2 = 0.45
     with pytest.raises(ValueError):
         SieveParams(2, 0.2)
 
@@ -112,7 +112,7 @@ def test_upper_rho_matches_quadratic_program():
 def test_sieve_sandwich_on_rough_counts():
     # w- <= 1_rough <= w+ pointwise forces the sums to sandwich the true count
     for xi in (0.15, 0.2):
-        params = SieveParams(10**4, xi, delta=0.05)
+        params = SieveParams(10**4, xi)
         upper = selberg_upper(params)
         lower = linear_lower(params)
         rough_count = int(factor_sieve(params.x).rough_mask(params.z)[1 : params.x + 1].sum())
@@ -143,7 +143,7 @@ def test_lower_audits_pass():
 
 
 def test_lower_basic_clauses():
-    params = SieveParams(10**4, 0.15, delta=0.05)
+    params = SieveParams(10**4, 0.15)
     w = linear_lower(params)
     assert w.weight(1) == 1.0  # lambda_1
     warr = w.weight_array()
@@ -157,7 +157,7 @@ def test_lower_basic_clauses():
 
 def test_lower_fundamental_inequality_exhaustive():
     # sum_{d | m} lambda-_d <= [m = 1] for every squarefree m | P(z), m <= x
-    params = SieveParams(10**4, 0.2, delta=0.05)
+    params = SieveParams(10**4, 0.2)
     w = linear_lower(params)
     primes = sifting_primes(w.z)
 
@@ -182,7 +182,7 @@ def test_weight_sum_identity():
 
 
 def test_weight_sum_ratios():
-    params = SieveParams(10**5, 0.2, delta=0.05)
+    params = SieveParams(10**5, 0.2)
     upper = selberg_upper(params)
     lower = linear_lower(params)
     up = weight_sum(upper) / weight_sum_reference(upper)
@@ -192,7 +192,7 @@ def test_weight_sum_ratios():
 
 
 def test_lower_sum_positive_at_million():
-    w = linear_lower(SieveParams(10**6, 0.1, delta=0.05))
+    w = linear_lower(SieveParams(10**6, 0.1))
     total = weight_sum(w)
     assert total > 0
     # z < 4 here, so the weights reduce to full inclusion-exclusion over {2,3}
@@ -200,7 +200,7 @@ def test_lower_sum_positive_at_million():
 
 
 def test_fault_injection_caught():
-    params = SieveParams(10**4, 0.2, delta=0.05)
+    params = SieveParams(10**4, 0.2)
     good = linear_lower(params)
     bad_lam = dict(good.lam)
     bad_lam[2] = +1.0  # flip a Moebius sign
@@ -235,7 +235,7 @@ _PUSHED_W = [
 
 @pytest.mark.parametrize("clause, make, n, value", _PUSHED_W, ids=[c[0] for c in _PUSHED_W])
 def test_extreme_clause_names_the_pushed_n(clause, make, n, value):
-    w = make(SieveParams(10**4, 0.2, delta=0.05))
+    w = make(SieveParams(10**4, 0.2))
     assert _clause(w, clause).verdict == "pass"
     w.weight_array()[n] = value  # the cached w(n) that every clause reads
     rep = _clause(w, clause)
@@ -244,7 +244,7 @@ def test_extreme_clause_names_the_pushed_n(clause, make, n, value):
 
 @pytest.mark.parametrize("kind", [UPPER, LOWER])
 def test_lambda_size_names_the_pushed_d(kind):
-    params = SieveParams(10**4, 0.2, delta=0.05)
+    params = SieveParams(10**4, 0.2)
     good = selberg_upper(params) if kind == UPPER else linear_lower(params)
     lam = dict(good.lam)
     lam[15] = 10.0  # past both 3^nu(15) = 9 and 1
@@ -261,9 +261,8 @@ def test_upper_weight_sum_fails_past_its_ceiling():
         assert (rep.verdict, rep.details["ceiling"]) == (verdict, WEIGHT_SUM_CEILING)
 
 
-@pytest.mark.parametrize("delta", [0.0, 0.05])
-def test_z_and_level_read_off_params(delta):
-    params = SieveParams(10**4, 0.2, delta=delta)
+def test_z_and_level_read_off_params():
+    params = SieveParams(10**4, 0.2)
     levels = {UPPER: params.level_upper, LOWER: params.level_lower}
     for w in (selberg_upper(params), linear_lower(params), SieveWeights(params, LOWER, {})):
         assert (w.z, w.level) == (params.z, levels[w.kind])
