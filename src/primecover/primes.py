@@ -2,9 +2,11 @@
 
 Covers the prime sets P_eta = {p prime : p < eta*q} viewed as residues mod q,
 the factor-counting functions Omega(n) (with multiplicity) and nu(n)
-(distinct), and z-roughness (no prime factor below z).  `primes_below` slices
-one cached Eratosthenes array; `factor_sieve` shares one smallest-prime-factor
-table per run, from which Omega and nu are filled eagerly by doubling.
+(distinct), and z-roughness (no prime factor below z).  One cached
+Eratosthenes sieve holds the primes as an array, which `primes_below` slices,
+and as a bit mask, of which P_eta is the low bit slice below min(eta*q, q).
+`factor_sieve` shares one smallest-prime-factor table per run, from which
+Omega and nu are filled eagerly by doubling.
 """
 
 from __future__ import annotations
@@ -18,22 +20,21 @@ from fractions import Fraction
 import numpy as np
 
 from .modular import MAX_MODULUS, isqrt_floor, modulus_value
-from .residues import ResidueSet, from_positions
+from .residues import ResidueSet, pack
 
 
 _sieve_lock = threading.Lock()
-_prime_cache: tuple[int, np.ndarray] | None = None  # (limit, primes <= limit)
+# (limit, primes <= limit ascending, their bit mask: bit n set <=> n prime)
+_prime_cache: tuple[int, np.ndarray, int] | None = None
 
 
-def primes_below(x: int) -> np.ndarray:
-    """Exactly the primes p <= x, ascending int64 (boolean Eratosthenes sieve, cached).
+def _sieve(x: int) -> tuple[int, np.ndarray, int]:
+    """The cached sieve, grown to cover x (boolean Eratosthenes, packed once into a mask).
 
     A miss sieves to at least twice the cached limit, capped at MAX_MODULUS,
     so an ascending scan re-sieves O(log) times rather than once per row.
     """
     global _prime_cache
-    if x < 2:
-        raise ValueError("primes_below expects x >= 2")
     with _sieve_lock:
         if _prime_cache is None or _prime_cache[0] < x:
             top = x if _prime_cache is None else max(x, min(2 * _prime_cache[0], MAX_MODULUS))
@@ -42,8 +43,15 @@ def primes_below(x: int) -> np.ndarray:
             for p in range(2, isqrt_floor(top, 2) + 1):
                 if mask[p]:
                     mask[p * p :: p] = False
-            _prime_cache = (top, np.flatnonzero(mask).astype(np.int64))
-        ps = _prime_cache[1]
+            _prime_cache = (top, np.flatnonzero(mask).astype(np.int64), pack(mask))
+        return _prime_cache
+
+
+def primes_below(x: int) -> np.ndarray:
+    """Exactly the primes p <= x, ascending int64, sliced from the cached sieve."""
+    if x < 2:
+        raise ValueError("primes_below expects x >= 2")
+    ps = _sieve(x)[1]
     return ps[: int(np.searchsorted(ps, x, side="right"))]
 
 
@@ -123,10 +131,8 @@ class Eta:
 
     def largest_admitted(self, q: int) -> int:
         """The largest integer m with m < eta*q, computed exactly."""
-        if self.value is not None:
-            t = self.value * q
-            m = t.numerator // t.denominator
-            return m - 1 if t.denominator == 1 else m
+        if self.value is not None:  # eta = a/b: m < a*q/b  <=>  m*b <= a*q - 1
+            return (self.value.numerator * q - 1) // self.value.denominator
         # eta = q^(a/b): m < q^(1+a/b)  <=>  m^b < q^(b+a)
         a, b = self.exponent.numerator, self.exponent.denominator
         if b + a <= 0:
@@ -142,18 +148,18 @@ class Eta:
 def prime_residues(q: int, eta: Eta | float | Fraction | int | str = 1) -> ResidueSet:
     """Residues mod q of all primes p < eta*q.
 
-    Primes below q need no reduction, so there are no collisions; an empty
-    result (eta*q < 3) is valid.
+    Primes below q need no reduction, so the set is the sieve mask cut to
+    bits <= top, with no collisions; an empty result (eta*q < 3) is valid.
     """
     qv = modulus_value(q)
     e = Eta.coerce(eta)
     top = min(e.largest_admitted(qv), qv - 1)
     if top < 2:
         return ResidueSet.empty(qv)
-    return ResidueSet(qv, from_positions(primes_below(top), qv))
+    return ResidueSet(qv, _sieve(top)[2] & ((2 << top) - 1))
 
 
-# int32 spf takes 4 bytes per n and Omega, nu one each; at 10^7 omega-sum peaks near 0.27 GB
+# int32 spf takes 4 bytes per n and Omega, nu one each; at 10^7 omega-sum peaks near 0.26 GB
 FACTOR_SIEVE_MAX = 10**7
 
 
@@ -182,7 +188,7 @@ class FactorSieve:
         while lo <= limit:
             hi = min(2 * lo, limit + 1)
             p = spf[lo:hi]
-            m = np.arange(lo, hi) // p
+            m = np.arange(lo, hi, dtype=np.int32) // p  # spf's dtype: int64 would add 4 bytes per n
             self.omega_values[lo:hi] = self.omega_values[m] + 1
             self.nu_values[lo:hi] = self.nu_values[m] + (spf[m] != p)
             lo = hi

@@ -1,11 +1,14 @@
 import bisect
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from primecover import primes
+from primecover import primes, residues
+from primecover.modular import primes_in_range
 from primecover.primes import Eta, FactorSieve, factor_sieve, prime_residues, primes_below
+from primecover.residues import ResidueSet, from_positions
 
 
 def _is_prime_trial(n):
@@ -60,6 +63,59 @@ def test_primes_below_ascending_scan_sieves_at_most_twice(monkeypatch):
         cache = primes._prime_cache
         assert got.tolist() == reference[: bisect.bisect_right(reference, x)]
     assert rebuilds <= 2
+    # the same scan's rows built through prime_residues read the mask the same sieve packs
+    monkeypatch.setattr(primes, "_prime_cache", None)
+    rebuilds, cache = 0, None
+    for q in reference[bisect.bisect_left(reference, 999000) :: 7]:
+        got = prime_residues(q, 1)
+        rebuilds += primes._prime_cache is not cache
+        cache = primes._prime_cache
+        assert got.elements() == reference[: bisect.bisect_left(reference, q)]
+    assert rebuilds <= 2
+
+
+def _prime_residues_oracle(q, eta):
+    """P_eta through the positions codec, the construction the sieve mask replaced."""
+    top = min(Eta.coerce(eta).largest_admitted(q), q - 1)
+    return ResidueSet(q, from_positions(primes_below(top), q) if top >= 2 else 0)
+
+
+def test_prime_residues_matches_positions_oracle_every_prime_to_3000():
+    etas = [1, Fraction(1, 2), Fraction(2, 3), "q^-1/4", "q^-1/2"]
+    for q in primes_in_range(3, 3000):
+        for eta in etas:
+            assert prime_residues(q, eta) == _prime_residues_oracle(q, eta), (q, eta)
+    empty = Fraction(2, 2999)  # eta*q = 2 at q = 2999, so p < 2 admits no prime
+    assert prime_residues(2999, empty) == _prime_residues_oracle(2999, empty) == ResidueSet.empty(2999)
+
+
+@pytest.mark.parametrize("q", [3, 5, 999983])
+@pytest.mark.parametrize("eta", [1, Fraction(1, 10)])
+def test_prime_residues_matches_positions_oracle_at_the_edges(q, eta):
+    assert prime_residues(q, eta) == _prime_residues_oracle(q, eta)
+
+
+def test_prime_residues_across_a_sieve_growth(monkeypatch):
+    # a small sieve, then one grown to the ceiling, then the small q read off the grown mask
+    monkeypatch.setattr(primes, "_prime_cache", None)
+    small = prime_residues(101, 1)
+    assert primes._prime_cache[0] < 999983
+    big = prime_residues(999983, 1)
+    assert primes._prime_cache[0] >= 999982
+    assert prime_residues(101, 1) == small == _prime_residues_oracle(101, 1)
+    assert big == _prime_residues_oracle(999983, 1)
+
+
+def test_prime_residues_builds_no_flag_array(monkeypatch):
+    expected = _prime_residues_oracle(10007, Fraction(2, 3))
+
+    def fail(*args):
+        pytest.fail("P_eta built through from_positions")
+
+    monkeypatch.setattr(residues, "from_positions", fail)
+    monkeypatch.setattr(primes, "from_positions", fail, raising=False)
+    assert prime_residues(10007, Fraction(2, 3)) == expected
+    assert prime_residues(3, 1).elements() == [2]
 
 
 def test_prime_residues_examples():
@@ -70,8 +126,6 @@ def test_prime_residues_examples():
 
 def test_prime_residues_cardinality_exhaustive():
     # |P_1(q)| = pi(q-1) for every prime q <= 10^4
-    from primecover.modular import primes_in_range
-
     for q in primes_in_range(3, 10**4):
         assert len(prime_residues(q, 1)) == len(primes_below(q - 1))
 
@@ -101,6 +155,25 @@ def test_eta_exact_boundary():
     # power form with q^(1 + a) landing on an integer
     e3 = Eta.power(Fraction(-1, 2))  # eta*q = sqrt(q)
     assert e3.largest_admitted(169) == 12  # m < 13 exactly
+
+
+def _largest_admitted_fraction(value, q):
+    """m < eta*q through the Fraction product, the form the integer division replaced."""
+    t = value * q
+    m = t.numerator // t.denominator
+    return m - 1 if t.denominator == 1 else m
+
+
+def test_eta_literal_threshold_matches_fraction_product():
+    rng = random.Random(28)
+    cases = [(Fraction(1), 3), (Fraction(1), 999983), (Fraction(5, 7), 7), (Fraction(5, 7), 14)]
+    for _ in range(2000):
+        b = rng.randint(1, 10**rng.randint(1, 12))
+        cases.append((Fraction(rng.randint(1, b), b), rng.randint(3, 10**6)))
+    for value, q in cases:
+        assert Eta.literal(value).largest_admitted(q) == _largest_admitted_fraction(value, q), (value, q)
+    assert Eta.literal(1).largest_admitted(7) == 6
+    assert Eta.literal(Fraction(5, 7)).largest_admitted(7) == 4  # eta*q = 5 exactly
 
 
 def test_eta_power_matches_float_generically():
@@ -165,6 +238,24 @@ def test_omega_nu_doubling_vs_factorize(limit):
         assert sieve.omega_values[n] == sum(f.values()), n
         assert sieve.nu(n) == len(f), n
         assert sieve.is_squarefree(n) == all(e == 1 for e in f.values()), n
+
+
+def test_omega_nu_doubling_int32_matches_int64():
+    # the doubling's quotient n // spf(n) kept in spf's int32, against the same doubling in int64
+    limit = 3 * 2**17 + 5
+    sieve = FactorSieve(limit)
+    omega = np.zeros(limit + 1, dtype=np.int8)
+    nu = np.zeros(limit + 1, dtype=np.int8)
+    spf = sieve.spf.astype(np.int64)
+    lo = 2
+    while lo <= limit:
+        hi = min(2 * lo, limit + 1)
+        m = np.arange(lo, hi, dtype=np.int64) // spf[lo:hi]
+        omega[lo:hi] = omega[m] + 1
+        nu[lo:hi] = nu[m] + (spf[m] != spf[lo:hi])
+        lo = hi
+    assert sieve.omega_values.tobytes() == omega.tobytes()
+    assert sieve.nu_values.tobytes() == nu.tobytes()
 
 
 def test_factor_sieve_budget_checked_before_allocation(monkeypatch):
