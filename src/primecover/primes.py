@@ -31,13 +31,14 @@ _prime_cache: tuple[int, np.ndarray, int] | None = None
 def _sieve(x: int) -> tuple[int, np.ndarray, int]:
     """The cached sieve, grown to cover x (boolean Eratosthenes, packed once into a mask).
 
-    A miss sieves to at least twice the cached limit, capped at MAX_MODULUS,
-    so an ascending scan re-sieves O(log) times rather than once per row.
+    A miss sieves to the power of two at or above x, capped at MAX_MODULUS (but never
+    below x), so an ascending scan re-sieves O(log) times rather than once per row,
+    and a run of rows near the ceiling sieves once.
     """
     global _prime_cache
     with _sieve_lock:
         if _prime_cache is None or _prime_cache[0] < x:
-            top = x if _prime_cache is None else max(x, min(2 * _prime_cache[0], MAX_MODULUS))
+            top = max(x, min(1 << (x - 1).bit_length(), MAX_MODULUS))
             mask = np.ones(top + 1, dtype=bool)
             mask[:2] = False
             for p in range(2, isqrt_floor(top, 2) + 1):

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -151,9 +152,11 @@ def test_dlog_bijection_exhaustive():
         assert all(pow(t.g, int(t.dlog[a]), q) == a for a in range(1, q))
 
 
-@pytest.mark.parametrize("q", (3, 5, 7, 17, 101, 257, 2039))
+# from 32771 on, q - 1 = B + 2, 2B, 2B + 2 and 3B + 12 for the block B = 2^15: the block edges
+@pytest.mark.parametrize("q", (3, 5, 7, 17, 101, 257, 2039, 32771, 65537, 65539, 98317))
 def test_doubling_power_table_exhaustive(q):
     t = CharacterTable(q)
+    assert t.pow_g.dtype == np.int64
     assert t.pow_g.tolist() == [pow(t.g, k, q) for k in range(q - 1)]
     assert t.dlog[0] == -1
     assert t.dlog[t.pow_g].tolist() == list(range(q - 1))  # the inverse permutation
@@ -166,6 +169,24 @@ def test_doubling_power_table_at_ceiling():
     assert [int(t.pow_g[k]) for k in ks] == [pow(t.g, k, q) for k in ks]
     assert sorted(t.pow_g[:: (q - 1) // 2].tolist()) == [1, q - 1]
     assert np.array_equal(np.sort(t.pow_g), np.arange(1, q))  # a permutation of the units
+
+
+def test_neighbouring_moduli_at_ceiling_ask_for_equal_power_buffers():
+    # whole-block buffers: the next table at the ceiling fits in the pages the last one freed
+    sizes = {CharacterTable(q).pow_g.base.nbytes for q in (999983, 999979, 999961, 999959)}
+    assert len(sizes) == 1
+
+
+def test_power_table_build_holds_one_q_sized_array():
+    q = 999983
+    modulus_value(q)  # the primality test's allocations are not the build's
+    tracemalloc.start()
+    try:
+        t = CharacterTable(q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert t.pow_g.base.nbytes <= peak < t.pow_g.base.nbytes + 8 * (q - 1) // 4
 
 
 @functools.cache

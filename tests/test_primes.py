@@ -47,8 +47,8 @@ def test_primes_below_slicing_consistency():
     assert small.tolist() == [int(p) for p in big if p <= 100]
 
 
-def test_primes_below_ascending_scan_sieves_at_most_twice(monkeypatch):
-    # the rows of an ascending scan near the ceiling: a miss sieves ahead to 10^6
+def test_primes_below_ascending_scan_sieves_once(monkeypatch):
+    # the rows of an ascending scan near the ceiling: the first miss sieves ahead to 10^6
     flags = bytearray([1]) * (10**6 + 1)
     flags[:2] = b"\0\0"
     for p in range(2, 1001):
@@ -62,7 +62,7 @@ def test_primes_below_ascending_scan_sieves_at_most_twice(monkeypatch):
         rebuilds += primes._prime_cache is not cache
         cache = primes._prime_cache
         assert got.tolist() == reference[: bisect.bisect_right(reference, x)]
-    assert rebuilds <= 2
+    assert rebuilds == 1
     # the same scan's rows built through prime_residues read the mask the same sieve packs
     monkeypatch.setattr(primes, "_prime_cache", None)
     rebuilds, cache = 0, None
@@ -71,7 +71,7 @@ def test_primes_below_ascending_scan_sieves_at_most_twice(monkeypatch):
         rebuilds += primes._prime_cache is not cache
         cache = primes._prime_cache
         assert got.elements() == reference[: bisect.bisect_left(reference, q)]
-    assert rebuilds <= 2
+    assert rebuilds == 1
 
 
 def _prime_residues_oracle(q, eta):
