@@ -41,7 +41,6 @@ from .reports import RECORDED, AuditReport
 from .residues import ResidueSet, from_positions, leading_positions, positions
 
 EULER_PRODUCT_PRIME_LIMIT = 10**6
-EULER_PRODUCT_TAIL_BOUND = 2e-6  # remainder of sum_p O(1/p^2) beyond the limit
 _CERTIFICATE_MEMBERS = 9  # x0 + 8: P_1 at q <= 20000 needs the table at 8 of 2,261 primes
 
 
@@ -140,9 +139,7 @@ class OmegaSumReport:
     x: int
     lhs: complex
     main_term: complex
-    euler_product: complex
     rel_error: float
-    tail_bound: float
     noncancel_ratio: float
     noncancel_applicable: bool
 
@@ -151,8 +148,7 @@ class OmegaSumReport:
 def euler_product_constant(z: complex, prime_limit: int = EULER_PRODUCT_PRIME_LIMIT) -> complex:
     """prod_p (1 - z/p)^-1 * (1 - 1/p)^z, truncated at prime_limit.
 
-    Terms are O(1/p^2), so the truncation error beyond 10^6 is below
-    EULER_PRODUCT_TAIL_BOUND; callers fold that into their error bars.
+    Terms are O(1/p^2), so the truncation error beyond 10^6 is below 2e-6.
     """
     ps = primes_below(prime_limit).astype(np.float64)
     total = (-np.log(1 - z / ps) + z * np.log1p(-1.0 / ps)).sum()
@@ -200,8 +196,7 @@ def omega_power_sum(z: complex, x: int) -> OmegaSumReport:
     if x < 100:
         raise ValueError("x must be at least 100")
 
-    sieve = factor_sieve(x)
-    om = sieve.omega_values[1 : x + 1]
+    om = factor_sieve(x)[1 : x + 1]
     zpow = z ** np.arange(int(om.max()) + 1)
     lhs = complex(zpow[om].sum())
 
@@ -215,9 +210,7 @@ def omega_power_sum(z: complex, x: int) -> OmegaSumReport:
         x=x,
         lhs=lhs,
         main_term=main,
-        euler_product=c,
         rel_error=rel,
-        tail_bound=EULER_PRODUCT_TAIL_BOUND,
         noncancel_ratio=abs(lhs) * logx**1.5 / x,
         noncancel_applicable=re_ok,
     )

@@ -1,12 +1,11 @@
 """Prime generation and prime-derived arithmetic functions.
 
-Covers the prime sets P_eta = {p prime : p < eta*q} viewed as residues mod q,
-the factor-counting functions Omega(n) (with multiplicity) and nu(n)
-(distinct), and z-roughness (no prime factor below z).  One cached
-Eratosthenes sieve holds the primes as an array, which `primes_below` slices,
-and as a bit mask, of which P_eta is the low bit slice below min(eta*q, q).
-`factor_sieve` shares one smallest-prime-factor table per run, from which
-Omega and nu are filled eagerly by doubling.
+Covers the prime sets P_eta = {p prime : p < eta*q} viewed as residues mod q
+and the factor count Omega(n) (with multiplicity).  One cached Eratosthenes
+sieve holds the primes as an array, which `primes_below` slices, and as a bit
+mask, of which P_eta is the low bit slice below min(eta*q, q).  `factor_sieve`
+shares one Omega table per run, filled by doubling over a smallest-prime-factor
+table that is freed once the build returns.
 """
 
 from __future__ import annotations
@@ -160,73 +159,44 @@ def prime_residues(q: int, eta: Eta | float | Fraction | int | str = 1) -> Resid
     return ResidueSet(qv, _sieve(top)[2] & ((2 << top) - 1))
 
 
-# int32 spf takes 4 bytes per n and Omega, nu one each; at 10^7 omega-sum peaks near 0.26 GB
+# the int32 spf (4 bytes per n) lives only while the int8 Omega (1 byte per n) is built;
+# at 10^7 omega-sum peaks near 0.21 GB, most of it the complex z^Omega(n) per n
 FACTOR_SIEVE_MAX = 10**7
 
-
-class FactorSieve:
-    """Smallest-prime-factor table for [2, limit] plus Omega and nu for [0, limit]."""
-
-    def __init__(self, limit: int):
-        if limit < 2:
-            raise ValueError("FactorSieve needs limit >= 2")
-        if limit > FACTOR_SIEVE_MAX:
-            raise ValueError(f"factor sieve budget is x <= 10^7, got x = {limit}")
-        self.limit = limit
-        spf = np.zeros(limit + 1, dtype=np.int32)
-        for p in range(2, isqrt_floor(limit, 2) + 1):
-            if spf[p] == 0:
-                block = spf[p * p :: p]
-                block[block == 0] = p
-        rest = np.flatnonzero(spf == 0)[2:]  # untouched entries >= 2 are prime
-        spf[rest] = rest
-        self.spf = spf
-        # doubling over [lo, 2 lo): m = n // spf(n) <= n/2 is already filled, so
-        # Omega(n) = Omega(m) + 1 and nu(n) = nu(m) + [spf(m) != spf(n)], spf(1) = 0
-        self.omega_values = np.zeros(limit + 1, dtype=np.int8)
-        self.nu_values = np.zeros(limit + 1, dtype=np.int8)
-        lo = 2
-        while lo <= limit:
-            hi = min(2 * lo, limit + 1)
-            p = spf[lo:hi]
-            m = np.arange(lo, hi, dtype=np.int32) // p  # spf's dtype: int64 would add 4 bytes per n
-            self.omega_values[lo:hi] = self.omega_values[m] + 1
-            self.nu_values[lo:hi] = self.nu_values[m] + (spf[m] != p)
-            lo = hi
-
-    def _check_range(self, n: int) -> None:
-        if not 1 <= n <= self.limit:
-            raise ValueError(f"n={n} outside sieve range [1, {self.limit}]")
-
-    def nu(self, n: int) -> int:
-        self._check_range(n)
-        return int(self.nu_values[n])
-
-    def is_squarefree(self, n: int) -> bool:
-        self._check_range(n)
-        return bool(self.omega_values[n] == self.nu_values[n])
-
-    def rough_mask(self, z: float) -> np.ndarray:
-        """Boolean mask over [0, limit]: True where n has no prime factor < z.
-
-        n = 1 is rough (empty factorization); index 0 is False.
-        """
-        if z < 2:
-            raise ValueError("roughness threshold z must be >= 2")
-        mask = self.spf >= z
-        mask[0] = False
-        mask[1] = True
-        return mask
-
-
 _factor_lock = threading.Lock()
-_factor_cache: FactorSieve | None = None
+_factor_cache: np.ndarray | None = None  # Omega over [0, limit] for the largest limit so far
 
 
-def factor_sieve(limit: int) -> FactorSieve:
-    """Shared FactorSieve, grown to the largest limit requested so far."""
+def _omega_table(limit: int) -> np.ndarray:
+    """Omega(n) for n in [0, limit] as int8, doubling over a smallest-prime-factor table."""
+    spf = np.zeros(limit + 1, dtype=np.int32)
+    for p in range(2, isqrt_floor(limit, 2) + 1):
+        if spf[p] == 0:
+            block = spf[p * p :: p]
+            block[block == 0] = p
+    rest = np.flatnonzero(spf == 0)[2:]  # untouched entries >= 2 are prime
+    spf[rest] = rest
+    # doubling over [lo, 2 lo): m = n // spf(n) <= n/2 is already filled, so Omega(n) = Omega(m) + 1
+    omega = np.zeros(limit + 1, dtype=np.int8)
+    lo = 2
+    while lo <= limit:
+        hi = min(2 * lo, limit + 1)
+        m = np.arange(lo, hi, dtype=np.int32) // spf[lo:hi]  # spf's dtype: int64 would add 4 bytes per n
+        omega[lo:hi] = omega[m] + 1
+        lo = hi
+    return omega
+
+
+def factor_sieve(limit: int) -> np.ndarray:
+    """The shared int8 table of Omega(n) for n in [0, limit] (at least), grown to the largest
+    limit requested so far.  A miss drops the kept table before it builds, so one is alive."""
     global _factor_cache
+    if limit < 2:
+        raise ValueError("factor_sieve needs limit >= 2")
+    if limit > FACTOR_SIEVE_MAX:
+        raise ValueError(f"factor sieve budget is x <= 10^7, got x = {limit}")
     with _factor_lock:
-        if _factor_cache is None or _factor_cache.limit < limit:
-            _factor_cache = FactorSieve(limit)
+        if _factor_cache is None or len(_factor_cache) <= limit:
+            _factor_cache = None
+            _factor_cache = _omega_table(limit)
         return _factor_cache

@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .primes import factor_sieve, primes_below
+from .modular import factorize
+from .primes import primes_below
 from .reports import FAIL, PASS, RECORDED, AuditReport
 
 UPPER = "upper"
@@ -96,6 +97,15 @@ def sifting_primes(z: float) -> list[int]:
     if top < 2:
         return []
     return primes_below(top).tolist()
+
+
+def rough_mask(x: int, z: float) -> np.ndarray:
+    """Boolean mask over [0, x]: True where n has no prime factor below z (n = 1 is rough, 0 is not)."""
+    mask = np.ones(x + 1, dtype=bool)
+    mask[0] = False
+    for p in sifting_primes(z):
+        mask[p::p] = False
+    return mask
 
 
 def _divisor_sum(coeffs: dict[int, float], x: int) -> np.ndarray:
@@ -253,9 +263,8 @@ def audit_weights(w: SieveWeights) -> list[AuditReport]:
     if x > 10**6:
         raise ValueError("exhaustive clause audits are budgeted for x <= 10^6")
     meta = {"x": x, "xi": params.xi, "delta": DELTA, "kind": w.kind}
-    sieve = factor_sieve(max(x, int(w.level) + 1, 2))
     warr = w.weight_array()
-    rough = sieve.rough_mask(max(w.z, 2.0))[: x + 1]
+    rough = rough_mask(x, w.z)
     reports: list[AuditReport] = []
 
     def record(name, computed, bound, ok, witness=None, tolerance=_TOL, **details):
@@ -291,9 +300,10 @@ def audit_weights(w: SieveWeights) -> list[AuditReport]:
     if w.kind == UPPER:
         extreme("nonnegative", np.arange(1, x + 1), 0.0, at_most=False)
         extreme("rough-at-least-one", rough_idx, 1.0, at_most=False)
-        bad = [d for d in support if not sieve.is_squarefree(d)]
+        factors = {d: factorize(d) for d in support}
+        bad = [d for d, f in factors.items() if any(e > 1 for e in f.values())]
         record("squarefree-support", float(len(bad)), 0.0, not bad, next(iter(bad), None))
-        excess = {d: abs(w.lam[d]) - 3.0 ** sieve.nu(d) for d in support}
+        excess = {d: abs(w.lam[d]) - 3.0 ** len(f) for d, f in factors.items()}
         worst_d = max(excess, key=excess.get, default=None)
         worst = max(0.0, excess.get(worst_d, 0.0))
         record("lambda-size", worst, 0.0, worst <= _TOL, worst_d)

@@ -368,6 +368,32 @@ def test_omega_sum_at_sieve_budget(tmp_path, monkeypatch):
     assert text.splitlines()[1].split(",")[:3] == ["10000000", "e(0)", "10000000"]
 
 
+# over an import-only child: room for the 10 MB Omega table and the 160 MB complex z^Omega(n)
+OMEGA_SUM_PEAK_MB = 200
+
+
+def test_omega_sum_peak_rss_ceiling():
+    # each child reads its own RUSAGE_SELF: RUSAGE_CHILDREN keeps the largest of any earlier child
+    peak = "import resource; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    run = (
+        "import contextlib, io\n"
+        "from primecover import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['omega-sum', '--x', '10000000']) == 0\n"
+    )
+    src = os.path.dirname(os.path.dirname(primecover.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    kib = []
+    for script in ("from primecover import cli\n" + peak, run + peak):
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        kib.append(int(done.stdout))
+    assert (kib[1] - kib[0]) / 1024 <= OMEGA_SUM_PEAK_MB, kib
+
+
 # Theorem 2 (i) and (ii): eta = q^(-1/16 + epsilon) and q^(-1/4 + epsilon)
 @pytest.mark.parametrize("eta", ["q^-1/16", "q^-1/4"], ids=["i", "ii"])
 def test_theorem2_short_sieve_range_names_flags(eta, monkeypatch, capsys):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from primecover import primes, residues
-from primecover.modular import primes_in_range
-from primecover.primes import Eta, FactorSieve, factor_sieve, prime_residues, primes_below
+from primecover.modular import factorize, primes_in_range
+from primecover.primes import Eta, factor_sieve, prime_residues, primes_below
 from primecover.residues import ResidueSet, from_positions
+from primecover.sieves import rough_mask
 
 
 def _is_prime_trial(n):
@@ -193,85 +194,78 @@ def test_eta_power_large_denominator():
 
 
 def test_big_omega_nu_examples():
-    sieve = factor_sieve(2**10)
-    assert sieve.omega_values[12] == 3 and sieve.nu(12) == 2  # 12 = 2^2 * 3
-    assert sieve.omega_values[1] == 0 and sieve.nu(1) == 0
-    assert sieve.omega_values[2**10] == 10 and sieve.nu(2**10) == 1
-    assert sieve.omega_values[2 * 3 * 5 * 7] == 4 == sieve.nu(210)
+    # Omega from the table, nu from trial division: the two sources the sieve audit reads
+    omega = factor_sieve(2**10)
+    assert omega.dtype == np.int8 and len(omega) >= 2**10 + 1
+    assert omega[12] == 3 and len(factorize(12)) == 2  # 12 = 2^2 * 3
+    assert omega[1] == 0 and len(factorize(1)) == 0
+    assert omega[2**10] == 10 and len(factorize(2**10)) == 1
+    assert omega[2 * 3 * 5 * 7] == 4 == len(factorize(210))
 
 
 def test_factor_sieve_range_check():
-    sieve = FactorSieve(100)
-    with pytest.raises(ValueError):
-        sieve.is_squarefree(101)
-    with pytest.raises(ValueError):
-        sieve.nu(0)
+    with pytest.raises(ValueError, match="limit >= 2"):
+        factor_sieve(1)
+    with pytest.raises(ValueError, match=r"x = 10000001"):
+        factor_sieve(primes.FACTOR_SIEVE_MAX + 1)
 
 
-def test_omega_nu_consistency_with_spf():
-    sieve = factor_sieve(5000)
-    for n in range(2, 5000, 37):
-        m, om, dv = n, 0, set()
-        while m > 1:
-            p = int(sieve.spf[m])
-            om += 1
-            dv.add(p)
-            m //= p
-        assert sieve.omega_values[n] == om
-        assert sieve.nu(n) == len(dv)
+def test_factor_sieve_keeps_one_table_grown_to_the_largest_limit(monkeypatch):
+    monkeypatch.setattr(primes, "_factor_cache", None)
+    small = factor_sieve(100)
+    assert len(small) == 101
+    big = factor_sieve(1000)
+    assert len(big) == 1001 and primes._factor_cache is big
+    assert factor_sieve(500) is big  # a smaller limit reads the larger table
+    assert big[:101].tobytes() == small.tobytes()
 
 
 @pytest.mark.parametrize("limit", [999999, 2**19])
-def test_omega_nu_doubling_vs_factorize(limit):
+def test_omega_doubling_vs_factorize(limit, monkeypatch):
     # trial division is independent of the spf table the doubling reads; the
     # chunk edges 2^k - 1, 2^k, 2^k + 1 are where a chunk hands over to the next
-    from primecover.modular import factorize
-
-    sieve = FactorSieve(limit)
-    assert len(sieve.omega_values) == len(sieve.nu_values) == limit + 1
+    monkeypatch.setattr(primes, "_factor_cache", None)
+    omega = factor_sieve(limit)
+    assert len(omega) == limit + 1
     edges = [2**k + d for k in range(1, 20) for d in (-1, 0, 1)]
     spots = [1, 999983, 510510, 3**12]
     for n in sorted({*range(1, 2 * 10**4 + 1), *edges, *spots}):
         if n > limit:
             continue
-        f = factorize(n)
-        assert sieve.omega_values[n] == sum(f.values()), n
-        assert sieve.nu(n) == len(f), n
-        assert sieve.is_squarefree(n) == all(e == 1 for e in f.values()), n
+        assert omega[n] == sum(factorize(n).values()), n
 
 
-def test_omega_nu_doubling_int32_matches_int64():
+def test_omega_doubling_int32_matches_int64(monkeypatch):
     # the doubling's quotient n // spf(n) kept in spf's int32, against the same doubling in int64
     limit = 3 * 2**17 + 5
-    sieve = FactorSieve(limit)
+    monkeypatch.setattr(primes, "_factor_cache", None)
+    spf = np.zeros(limit + 1, dtype=np.int64)
+    for p in primes_below(limit).tolist():
+        block = spf[p::p]
+        block[block == 0] = p
     omega = np.zeros(limit + 1, dtype=np.int8)
-    nu = np.zeros(limit + 1, dtype=np.int8)
-    spf = sieve.spf.astype(np.int64)
     lo = 2
     while lo <= limit:
         hi = min(2 * lo, limit + 1)
         m = np.arange(lo, hi, dtype=np.int64) // spf[lo:hi]
         omega[lo:hi] = omega[m] + 1
-        nu[lo:hi] = nu[m] + (spf[m] != spf[lo:hi])
         lo = hi
-    assert sieve.omega_values.tobytes() == omega.tobytes()
-    assert sieve.nu_values.tobytes() == nu.tobytes()
+    assert factor_sieve(limit).tobytes() == omega.tobytes()
 
 
 def test_factor_sieve_budget_checked_before_allocation(monkeypatch):
     monkeypatch.setattr(np, "zeros", lambda *a, **k: pytest.fail("allocated"))
     with pytest.raises(ValueError, match=r"x = 10000001"):
-        FactorSieve(primes.FACTOR_SIEVE_MAX + 1)
+        factor_sieve(primes.FACTOR_SIEVE_MAX + 1)
 
 
-def test_omega_minus_nu_double_loop_oracle():
-    # sum_{n<=x} (Omega - nu)(n) counts pairs (n, p^k) with k >= 2, p^k | n
+def test_omega_sum_prime_power_oracle():
+    # sum_{n<=x} Omega(n) counts pairs (n, p^k) with k >= 1 and p^k | n
     x = 10**4
-    sieve = factor_sieve(x)
-    lhs = int((sieve.omega_values[1 : x + 1] - sieve.nu_values[1 : x + 1]).sum())
+    lhs = int(factor_sieve(x)[1 : x + 1].sum(dtype=np.int64))
     rhs = 0
-    for p in primes_below(int(x**0.5) + 1):
-        pk = p * p
+    for p in primes_below(x).tolist():
+        pk = p
         while pk <= x:
             rhs += x // pk
             pk *= p
@@ -279,16 +273,15 @@ def test_omega_minus_nu_double_loop_oracle():
 
 
 def test_rough_indicator_frozen():
-    # spf >= 3 on [1, 20]: 1 plus every odd n
-    mask = factor_sieve(20).rough_mask(3)[:21]
+    # no prime factor below 3 on [1, 20]: 1 plus every odd n
+    mask = rough_mask(20, 3)
     assert list(np.flatnonzero(mask)) == [1, 3, 5, 7, 9, 11, 13, 15, 17, 19]
 
 
 def test_rough_indicator_edges():
-    assert factor_sieve(50).rough_mask(2)[1:51].all()  # no prime < 2: everything rough
-    mask = factor_sieve(100).rough_mask(50)[:101]
+    assert rough_mask(50, 2)[1:].all()  # no prime < 2: everything rough
+    assert rough_mask(10, 1.5)[1:].all()
+    mask = rough_mask(100, 50)
     for p in (53, 59, 61, 67, 71, 73, 79, 83, 89, 97):
         assert mask[p]  # a prime is rough for any z <= p
-    assert not mask[0]
-    with pytest.raises(ValueError):
-        factor_sieve(10).rough_mask(1.5)[:11]
+    assert not mask[0] and len(mask) == 101

@@ -4,7 +4,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from primecover.primes import factor_sieve
+from primecover.modular import factorize
 from primecover.sieves import (
     LOWER,
     UPPER,
@@ -14,6 +14,7 @@ from primecover.sieves import (
     _squarefree_smooth_products,
     audit_weights,
     linear_lower,
+    rough_mask,
     selberg_upper,
     sifting_primes,
     weight_sum,
@@ -31,6 +32,11 @@ def dirac_weights(x: int, xi: float = 0.25) -> SieveWeights:
     """
     params = SieveParams(x, xi)
     return SieveWeights(params, UPPER, {1: 1.0}, rho={1: 1.0})
+
+
+def rough_oracle(x: int, z: float) -> np.ndarray:
+    """Over [0, x]: True where min(factorize(n)) >= z, by trial division (1 is rough, 0 is not)."""
+    return np.array([n > 0 and min(factorize(n), default=z) >= z for n in range(x + 1)])
 
 
 def divisor_subset_sums(lam: dict[int, float], m_primes: list[int]) -> float:
@@ -60,6 +66,12 @@ def test_sifting_primes_strict():
     assert sifting_primes(1.9) == []
 
 
+@pytest.mark.parametrize("z", [0.5, 1.5, 2, 3, 7, 7.5, 10**0.8, 97, 100, 100.5])
+def test_rough_mask_matches_factorize(z):
+    x = 10**4
+    assert rough_mask(x, z).tolist() == rough_oracle(x, z).tolist()
+
+
 def test_upper_normalization():
     for params in GRID:
         w = selberg_upper(params)
@@ -74,7 +86,7 @@ def test_upper_rough_weight_is_one():
     params = SieveParams(10**4, 0.2)
     w = selberg_upper(params)
     warr = w.weight_array()
-    rough = factor_sieve(params.x).rough_mask(w.z)[: params.x + 1]
+    rough = rough_oracle(params.x, w.z)
     assert float(warr[rough].min()) >= 1 - 1e-9
     assert float(warr[rough].max()) <= 1 + 1e-9
     # and w+(p) >= 1 for every prime z <= p <= x
@@ -115,7 +127,7 @@ def test_sieve_sandwich_on_rough_counts():
         params = SieveParams(10**4, xi)
         upper = selberg_upper(params)
         lower = linear_lower(params)
-        rough_count = int(factor_sieve(params.x).rough_mask(params.z)[1 : params.x + 1].sum())
+        rough_count = int(rough_oracle(params.x, params.z).sum())
         assert weight_sum(lower) <= rough_count + 1e-6
         assert rough_count <= weight_sum(upper) + 1e-6
 
@@ -147,7 +159,7 @@ def test_lower_basic_clauses():
     w = linear_lower(params)
     assert w.weight(1) == 1.0  # lambda_1
     warr = w.weight_array()
-    rough = factor_sieve(params.x).rough_mask(w.z)[: params.x + 1]
+    rough = rough_oracle(params.x, w.z)
     smooth = ~rough
     smooth[0] = False
     assert float(warr[smooth].max()) <= 1e-12
@@ -250,6 +262,16 @@ def test_lambda_size_names_the_pushed_d(kind):
     lam[15] = 10.0  # past both 3^nu(15) = 9 and 1
     rep = _clause(SieveWeights(params, kind, lam, rho=good.rho), f"{kind}.lambda-size")
     assert (rep.verdict, rep.witness) == ("fail", 15)
+
+
+def test_squarefree_support_names_the_pushed_d():
+    params = SieveParams(10**4, 0.2)
+    good = selberg_upper(params)
+    assert _clause(good, "upper.squarefree-support").verdict == "pass"
+    lam = dict(good.lam)
+    lam[12] = 1.0  # 12 = 2^2 * 3, within the level and within 3^nu(12) = 9
+    rep = _clause(SieveWeights(params, UPPER, lam, rho=good.rho), "upper.squarefree-support")
+    assert (rep.verdict, rep.witness) == ("fail", 12)
 
 
 def test_upper_weight_sum_fails_past_its_ceiling():
