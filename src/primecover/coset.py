@@ -181,11 +181,22 @@ def _rgamma(z: complex) -> complex:
     return math.prod((z + k) / (k + 1) for k in range(12)) * cmath.exp(-log_ratio)
 
 
-def omega_power_sum(z: complex, x: int) -> OmegaSumReport:
-    """Exact sum_{n<=x} z^Omega(n) vs x * (log x)^(z-1) * C(z)/Gamma(z).
+def _omega_histogram(x: int) -> np.ndarray:
+    """c_k = #{1 <= n <= x : Omega(n) = k} for k < 64, counted 2^20 table entries at a time."""
+    om = factor_sieve(x)[1 : x + 1]
+    counts = np.zeros(64, dtype=np.int64)  # Omega(n) <= 23 below the sieve budget
+    for lo in range(0, x, 1 << 20):
+        counts += np.bincount(om[lo : lo + (1 << 20)], minlength=64)
+    return counts
 
-    Requires |z| = 1 and z != -1 (Gamma blows up against the (log x)^(z-1)
-    factor there; that root is excluded).  The non-cancellation ratio
+
+def omega_power_sum(z: complex, x: int) -> OmegaSumReport:
+    """sum_{n<=x} z^Omega(n) = sum_k c_k z^k vs x * (log x)^(z-1) * C(z)/Gamma(z).
+
+    The counts c_k = #{n <= x : Omega(n) = k} are exact integers; only the sum
+    of the at most 24 terms c_k z^k with c_k > 0 is floating point.  Requires
+    |z| = 1 and z != -1 (Gamma blows up against the (log x)^(z-1) factor there;
+    that root is excluded).  The non-cancellation ratio
     |LHS| * log^(3/2)(x) / x is meaningful on Re(z) >= -1/2.
     """
     z = complex(z)
@@ -196,9 +207,9 @@ def omega_power_sum(z: complex, x: int) -> OmegaSumReport:
     if x < 100:
         raise ValueError("x must be at least 100")
 
-    om = factor_sieve(x)[1 : x + 1]
-    zpow = z ** np.arange(int(om.max()) + 1)
-    lhs = complex(zpow[om].sum())
+    counts = _omega_histogram(x)
+    ks = np.flatnonzero(counts)
+    lhs = complex((counts[ks] * z**ks).sum())
 
     logx = math.log(x)
     c = euler_product_constant(z)

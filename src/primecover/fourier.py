@@ -130,7 +130,7 @@ def kloosterman(r: int, s: int, q: int) -> complex:
 
 
 # q x q grids at the cap: 200 MB per int64 or float64 grid (weil_audit's s n^-1 index), 400 MB
-# per complex128 one (a hyperbola count's terms), 50 MB for the int16 index (built in int32)
+# for the one complex128 grid a hyperbola count holds at a time, 50 MB for the int16 index
 GRID_MAX_MODULUS = 5000
 
 
@@ -168,10 +168,11 @@ def kloosterman_row(q: int) -> np.ndarray:
 @functools.lru_cache(maxsize=1)
 def _unit_product_grid(q: int) -> np.ndarray:
     """(r * s) mod q for r, s in [1, q-1]; int16 holds q <= GRID_MAX_MODULUS (2 MB at q = 1009)."""
-    ns = np.arange(1, q, dtype=np.int32)  # (q-1)^2 < 2^31 at the cap
-    grid = np.multiply.outer(ns, ns)
-    grid %= q
-    return grid.astype(np.int16)
+    ns = np.arange(1, q, dtype=np.int32)  # (q-1)^2 < 2^31 at the cap; int32 one block at a time
+    grid = np.empty((q - 1, q - 1), dtype=np.int16)
+    for lo in range(0, q - 1, _GATHER_ROWS):
+        grid[lo : lo + _GATHER_ROWS] = np.multiply.outer(ns[lo : lo + _GATHER_ROWS], ns) % q
+    return grid
 
 
 def weil_audit(q: int, tol: float = 1e-6) -> AuditReport:
@@ -317,6 +318,16 @@ class SolutionCountReport:
     rel_gap: float
 
 
+def _kloosterman_weighted_sum(v: np.ndarray, row: np.ndarray, perm: np.ndarray):
+    """sum_{r,s} v[r] v[s] row[grid[perm[r], s]] as one .sum() of the only q x q array alive."""
+    grid = _unit_product_grid(len(row))
+    terms = np.multiply.outer(v, v)
+    for lo in range(0, len(v), _GATHER_ROWS):
+        block = slice(lo, lo + _GATHER_ROWS)
+        terms[block] *= row[grid[perm[block]].astype(np.intp)]  # an int16 index gathers 3x slower
+    return terms.sum()
+
+
 def solution_count_fourier(w: SieveWeights, a: int, q: int) -> SolutionCountReport:
     """Evaluate sum_{n in units} w(n) w(a n^-1) directly and spectrally.
 
@@ -345,23 +356,13 @@ def solution_count_fourier(w: SieveWeights, a: int, q: int) -> SolutionCountRepo
     tail = what[1:]
     abs_tail = np.abs(tail)
     row = kloosterman_row(qv)  # row[u] = Kl2(1, u; q)
-    abs_row = np.abs(row)
-    # Kl2(r, s a; q) = row[(r a) s]: the a = 1 grid with row r moved to r a mod q,
-    # gathered a block of rows at a time into the terms (no q x q temporary)
-    rows = _unit_product_grid(qv)[np.arange(1, qv) * a % qv - 1]
-    terms = np.multiply.outer(tail, tail)
-    abs_terms = np.multiply.outer(abs_tail, abs_tail)
-    for lo in range(0, qv - 1, _GATHER_ROWS):
-        block = slice(lo, lo + _GATHER_ROWS)
-        idx = rows[block].astype(np.intp)
-        terms[block] *= row[idx]
-        abs_terms[block] *= abs_row[idx]
-    offdiag = terms.sum()
+    perm = np.arange(1, qv) * a % qv - 1  # Kl2(r, s a; q) = row[(r a) s]: grid row r a mod q
+    offdiag = _kloosterman_weighted_sum(tail, row, perm)
     cross = (-1.0) * (tail.sum() * w0)  # each axis: Ramanujan sum -1 against w^(0)
     main = (qv - 1) * w0 * w0
     spectral = (main + cross + cross + offdiag) / qv**2
 
-    offdiag_abs = float(abs_terms.sum()) / qv**2
+    offdiag_abs = float(_kloosterman_weighted_sum(abs_tail, np.abs(row), perm)) / qv**2
     weil_bound = float(abs_tail.sum()) ** 2 * 2.0 * math.sqrt(qv) / qv**2
 
     spectral_real = float(spectral.real)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primecover import audits
+from primecover import audits, coset
+from primecover.cli import main
 from primecover.coset import (
     _rgamma,
     character_constant_on,
@@ -20,7 +21,7 @@ from primecover.coset import (
     omega_power_sum,
 )
 from primecover.modular import CharacterTable, character_table, divisors, primes_in_range
-from primecover.primes import prime_residues
+from primecover.primes import factor_sieve, prime_residues
 from primecover.residues import ResidueSet, leading_positions
 
 
@@ -211,23 +212,58 @@ def test_omega_sum_trend_and_floor():
         assert r.noncancel_ratio > 1.5  # recorded floor from the 12-root grid
 
 
+def _omega_by_trial_division(n):
+    count, d = 0, 2
+    while d * d <= n:
+        while n % d == 0:
+            n //= d
+            count += 1
+        d += 1
+    return count + (n > 1)
+
+
 def test_omega_sum_lhs_against_direct_loop():
     # independent oracle: factor by trial division, accumulate z^Omega directly
     z = 1j
     x = 2000
-
-    def omega(n):
-        c, d = 0, 2
-        while d * d <= n:
-            while n % d == 0:
-                n //= d
-                c += 1
-            d += 1
-        return c + (1 if n > 1 else 0)
-
-    direct = sum(z ** omega(n) for n in range(1, x + 1))
+    direct = sum(z ** _omega_by_trial_division(n) for n in range(1, x + 1))
     rep = omega_power_sum(z, x)
     assert rep.lhs == pytest.approx(direct, abs=1e-9)
+
+
+@pytest.mark.parametrize("x", [100, 1000, 4097, 10**4])
+def test_omega_histogram_counts_trial_division(x):
+    counts = coset._omega_histogram(x)
+    assert counts.sum() == x
+    oracle = np.bincount([_omega_by_trial_division(n) for n in range(1, x + 1)], minlength=64)
+    assert np.array_equal(counts, oracle)
+
+
+def _gather_omega_power_sum(z, x):
+    """omega_power_sum as it summed z^Omega(n) over every n, one gathered power per n (oracle)."""
+    om = factor_sieve(x)[1 : x + 1]
+    lhs = complex((z ** np.arange(int(om.max()) + 1))[om].sum())
+    logx = math.log(x)
+    main = x * cmath.exp((z - 1) * cmath.log(logx)) * (euler_product_constant(z) * _rgamma(z))
+    return coset.OmegaSumReport(
+        z=z,
+        x=x,
+        lhs=lhs,
+        main_term=main,
+        rel_error=abs(lhs - main) / abs(main),
+        noncancel_ratio=abs(lhs) * logx**1.5 / x,
+        noncancel_applicable=z.real >= -0.5 - 1e-12,
+    )
+
+
+@pytest.mark.parametrize("z", ["1/3", "1/7", "1/10", "1/4", "5001/10000"])
+def test_omega_sum_rows_match_gather_oracle_byte_for_byte(z, tmp_path, monkeypatch):
+    argv = ["omega-sum", "--x", "100", "1000", "12345", "100000", "--z", z]
+    assert main([*argv, "--out", str(tmp_path / "histogram.csv")]) == 0
+    monkeypatch.setattr(coset, "omega_power_sum", _gather_omega_power_sum)
+    assert main([*argv, "--out", str(tmp_path / "gather.csv")]) == 0
+    ours, oracle = ((tmp_path / f).read_bytes() for f in ("histogram.csv", "gather.csv"))
+    assert ours == oracle and len(ours.splitlines()) == 5
 
 
 def test_euler_product_z_one_is_one():

@@ -5,7 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from primecover import fourier
 from primecover.fourier import (
+    SolutionCountReport,
     additive_transform,
     additive_transform_naive,
     kloosterman,
@@ -334,6 +336,60 @@ def test_solution_count_shared_grid_is_bit_identical(q, a):
     assert (rep.spectral, rep.offdiag_exact, rep.offdiag_abs) == _per_trial_grid_count(w, a, q)
 
 
+def _one_pass_solution_count(w, a, q):
+    """The hyperbola count with both q x q term grids alive at once and the index rows permuted
+    up front: the form the blocked one replaced, kept as its bit-for-bit oracle."""
+    a = a % q
+    inv = inverse_table(q)
+    farr = w.residue_array(q)
+    direct = float((farr * farr[(a * inv) % q])[1:].sum())
+    what = np.fft.fft(farr)
+    w0, tail = what[0], what[1:]
+    abs_tail = np.abs(tail)
+    row = kloosterman_row(q)
+    abs_row = np.abs(row)
+    ns = np.arange(1, q)
+    rows = (np.multiply.outer(ns, ns) % q)[ns * a % q - 1]
+    terms = np.multiply.outer(tail, tail)
+    abs_terms = np.multiply.outer(abs_tail, abs_tail)
+    for lo in range(0, q - 1, 64):
+        block = slice(lo, lo + 64)
+        idx = rows[block].astype(np.intp)
+        terms[block] *= row[idx]
+        abs_terms[block] *= abs_row[idx]
+    offdiag = terms.sum()
+    cross = (-1.0) * (tail.sum() * w0)
+    spectral = ((q - 1) * w0 * w0 + cross + cross + offdiag) / q**2
+    spectral_real = float(spectral.real)
+    return SolutionCountReport(
+        q=q,
+        a=a,
+        direct=direct,
+        spectral=spectral_real,
+        offdiag_exact=float((offdiag / q**2).real),
+        offdiag_abs=float(abs_terms.sum()) / q**2,
+        offdiag_weil_bound=float(abs_tail.sum()) ** 2 * 2.0 * math.sqrt(q) / q**2,
+        rel_gap=abs(direct - spectral_real) / max(1.0, abs(direct)),
+    )
+
+
+@pytest.mark.parametrize("q", [101, 1009, 2039])
+def test_solution_count_blocked_matches_one_pass_bit_for_bit(q):
+    # one q x q grid alive at a time, index rows gathered per block: the same floats, not nearly
+    w = selberg_upper(SieveParams(int(q**0.75), 0.2))
+    rng = np.random.default_rng(q)
+    for a in [1, 2, q - 1, *rng.integers(3, q - 1, size=7).tolist()]:
+        assert repr(solution_count_fourier(w, a, q)) == repr(_one_pass_solution_count(w, a, q))
+
+
+@pytest.mark.parametrize("q", [3, 5, 101, 1009, 2039])
+def test_unit_product_grid_matches_outer_product(q):
+    ns = np.arange(1, q)
+    grid = fourier._unit_product_grid(q)
+    assert grid.dtype == np.int16
+    assert np.array_equal(grid, np.multiply.outer(ns, ns) % q)
+
+
 def test_solution_count_rejects_bad_inputs():
     q = 1009
     w = selberg_upper(SieveParams(int(q**0.75), 0.2))
@@ -345,8 +401,6 @@ def test_solution_count_rejects_bad_inputs():
 
 def test_grid_routines_reject_q_above_budget_before_allocating(monkeypatch):
     # 10007 is a prime above GRID_MAX_MODULUS: refused before a table or a q x q grid exists
-    from primecover import fourier
-
     def no_table(q):
         raise AssertionError("character table built before the budget check")
 
@@ -365,8 +419,6 @@ def test_grid_routines_reject_q_above_budget_before_allocating(monkeypatch):
 
 
 def test_solution_count_checks_the_unit_before_the_grid(monkeypatch):
-    from primecover import fourier
-
     monkeypatch.setattr(fourier, "_unit_product_grid", lambda q: pytest.fail("grid built"))
     w = selberg_upper(SieveParams(int(101**0.75), 0.2))
     with pytest.raises(ValueError, match="unit"):
