@@ -15,17 +15,13 @@ import argparse
 import cmath
 import functools
 import json
-import math
 import re
 import sys
 
-import numpy as np
-
-from . import audits, coset, products, sieves
-from .modular import MAX_MODULUS, character_table, modulus_value, primes_in_range
+from . import audits, coset, products
+from .modular import MAX_MODULUS, modulus_value, primes_in_range
 from .primes import FACTOR_SIEVE_MAX, Eta, parse_fraction, prime_residues
 from .reports import AuditReport, _clean, _csv_cell, reports_to_csv, reports_to_json
-from .residues import ResidueSet
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -138,116 +134,18 @@ def cmd_scan(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# theorem2 / theorem3
+# theorem2 / theorem3 / density / omega-sum / audit
 
 
-def _convolution_positivity(p: ResidueSet, eta: Eta) -> AuditReport:
-    """Pointwise positivity of w- * 1_P * 1_P, computed exactly on the group."""
-    q = p.q
-    x = min(eta.largest_admitted(q), q - 1)
-    log_eta = math.log(eta.value_at(q)) / math.log(q)
-    xi_ceiling = (0.25 + log_eta) / (1 + log_eta) - sieves.DELTA / 2
-    if xi_ceiling <= 0:
-        return AuditReport(
-            name="almost-prime.convolution-positivity",
-            params={"q": q, "eta": eta.label()},
-            verdict="recorded",
-            details={"note": "no admissible xi (range too short)", "xi_ceiling": xi_ceiling},
-        )
-    xi = 0.95 * xi_ceiling  # just below the ceiling that eta sets
-    w = sieves.linear_lower(sieves.SieveParams(x, xi))
-    # every lambda_d of w- is +-1, so w- is integral, and w- * r, with r(b) the number of
-    # (y, z) in P^2 with yz = b, is an exact integer convolution over the discrete logs
-    pow_g = character_table(q).pow_g
-    warr = w.residue_array(q)
-    conv = np.zeros(q, dtype=np.int64)
-    conv[pow_g] = products._cyclic_counts(
-        warr[pow_g], products.solution_counts_all(p)[pow_g], int(warr[1:].sum()) * len(p) ** 2
-    )
-    units = conv[1:]
-    witnesses = (np.flatnonzero(units <= 0)[:8] + 1).tolist()
-    return AuditReport(
-        name="almost-prime.convolution-positivity",
-        params={"q": q, "eta": eta.label(), "xi": xi, "delta": sieves.DELTA},
-        computed=float(units.min()),
-        bound=0.0,
-        verdict="recorded",
-        witness=witnesses or None,
-        details={"positive_everywhere": not witnesses, "x": x, "xi_ceiling": xi_ceiling},
-    )
-
-
-def cmd_theorem2(args) -> int:
-    """Six-fold prime products: direct union check plus convolution positivity."""
-    q, eta = args.q, Eta.parse(args.eta)
-    if min(eta.largest_admitted(q), q - 1) < 4:
-        raise ValueError(
-            f"the sieve range min(eta*q, q - 1) must be at least 4; raise --q or --eta "
-            f"(got --q {q}, --eta {args.eta})"
-        )
-
-    p = prime_residues(q, eta)  # min(eta*q, q - 1) >= 4 puts 2 and 3 in P
-    cover_k, union = products.six_fold_cover(p)
-    missing = union.complement_units()
-    cover = AuditReport(
-        name="almost-prime.six-fold-cover",
-        params={"q": q, "eta": eta.label()},
-        computed=float(cover_k) if cover_k else None,
-        bound=float(products.COVER_FACTORS),
-        verdict="recorded",
-        witness=missing.elements()[:8] or None,
-        details={
-            "covered": union.covers_units,
-            "min_cover_k": cover_k,
-            "missing_count": len(missing),
-            "prime_count": len(p),
-        },
-    )
-    positivity = _convolution_positivity(p, eta)
-    return _emit_reports(args, [cover, positivity])
-
-
-def cmd_theorem3(args) -> int:
-    """Minimal covering exponent for P_eta, against the theoretical 48."""
-    eta = Eta.parse(args.eta)
-    p = prime_residues(args.q, eta)
-    if not p:
-        raise ValueError("P_eta is empty; nothing to expand")
-    witness = coset.coset_obstruction(p)
-    if witness is not None:
-        fields = dict(
-            witness=(witness.subgroup.index, witness.representative),
-            details={
-                "obstructed": True,
-                "subgroup_index": witness.subgroup.index,
-                "note": "coset obstruction: no power of P_eta ever covers the group",
-            },
-        )
-    else:
-        trace = products.expansion_schedule(p)
-        k_min = trace.min_exponent
-        details = {
-            "obstructed": False,
-            "prime_count": len(p),
-            "doubling_trace": [
-                {"before": s.size_before, "rule": s.rule, "after": s.size_after, "k": s.exponent}
-                for s in trace.steps
-            ],
-            "theoretical_exponent": trace.theoretical_exponent,
-        }
-        fields = dict(computed=float(k_min), bound=48.0, ratio=k_min / 48.0, details=details)
-    params = {"q": args.q, "eta": eta.label()}
-    rep = AuditReport(name="covering.min-exponent", params=params, **fields)
-    return _emit_reports(args, [rep])
-
-
-# ---------------------------------------------------------------------------
-# density / omega-sum / audit
-
-
-def cmd_density(args) -> int:
-    rep = products.density_report(args.q, Eta.parse(args.eta))
-    return _emit_reports(args, [rep])
+def cmd_report(args) -> int:
+    """theorem2, theorem3 and density: one call to the command's library report function."""
+    # looked up per call, not stored in the parser: a tracer may rebind the report functions
+    report = {
+        "theorem2": products.theorem2_reports,
+        "theorem3": products.theorem3_reports,
+        "density": products.density_reports,
+    }[args.command]
+    return _emit_reports(args, report(args.q, Eta.parse(args.eta)))
 
 
 OMEGA_COLUMNS = (
@@ -349,10 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_scan("erdos-scan", "per-prime pair-product coverage table", ERDOS_COLUMNS)
 
-    add_q_eta(add_command("theorem2", "six-fold products: union check + convolution", cmd_theorem2))
-
-    add_q_eta(add_command("theorem3", "minimal covering exponent for P_eta", cmd_theorem3))
-    add_q_eta(add_command("density", "|P_eta^(2)|/q report", cmd_density))
+    add_q_eta(add_command("theorem2", "six-fold products: union check + convolution", cmd_report))
+    add_q_eta(add_command("theorem3", "minimal covering exponent for P_eta", cmd_report))
+    add_q_eta(add_command("density", "|P_eta^(2)|/q report", cmd_report))
 
     add_scan("coset-scan", "coset obstruction table over a prime range", COSET_COLUMNS)
 

@@ -101,8 +101,8 @@ def mult_convolve_naive(f: np.ndarray, g: np.ndarray, q: int) -> np.ndarray:
     for lo in range(0, len(xs), _CONVOLVE_ROWS):
         block = xs[lo : lo + _CONVOLVE_ROWS]
         k = len(block)
-        rows = grid[[pow(int(x), -1, qv) - 1 for x in block]]  # rows[i, a - 1] = a x_i^-1
-        np.multiply(fa[block, None], ga[rows], out=buf[1 : k + 1])
+        rows = grid[[pow(int(x), -1, qv) - 1 for x in block]].astype(np.intp)  # a x_i^-1
+        np.multiply(fa[block, None], ga[rows], out=buf[1 : k + 1])  # int16 rows gather 3x slower
         np.add.reduce(buf[: k + 1], axis=0, out=buf[0])
     out = np.zeros(qv, dtype=np.complex128)
     out[1:] = buf[0]

@@ -36,6 +36,9 @@ Squaring a set, as every pair-product row and every expansion step does,
 takes one forward transform instead of two.  The result must come out integral and add up to
 its known total (|A| * |B| for a sumset), or the kernel raises.
 
+`theorem2_reports`, `theorem3_reports` and `density_reports` assemble the
+reports of the paper's three theorems at one q: each is (q, Eta) -> list[AuditReport].
+
 All pair counts use ORDERED pairs throughout.
 """
 
@@ -46,8 +49,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coset import is_coset_trapped
-from .modular import CharacterTable, character_table
+from . import sieves
+from .coset import coset_obstruction, is_coset_trapped
+from .modular import CharacterTable, character_table, modulus_value
 from .primes import Eta, prime_residues
 from .reports import FAIL, PASS, RECORDED, AuditReport
 from .residues import ResidueSet, leading_positions, pack, positions, unpack
@@ -429,7 +433,103 @@ def expansion_schedule(a: ResidueSet) -> ExpansionTrace:
     )
 
 
-def density_report(q: int, eta: Eta | float | str = 1) -> AuditReport:
+def _convolution_positivity(p: ResidueSet, eta: Eta) -> AuditReport:
+    """Pointwise positivity of w- * 1_P * 1_P, computed exactly on the group."""
+    q = p.q
+    x = min(eta.largest_admitted(q), q - 1)
+    log_eta = math.log(eta.value_at(q)) / math.log(q)
+    xi_ceiling = (0.25 + log_eta) / (1 + log_eta) - sieves.DELTA / 2
+    if xi_ceiling <= 0:
+        return AuditReport(
+            name="almost-prime.convolution-positivity",
+            params={"q": q, "eta": eta.label()},
+            verdict=RECORDED,
+            details={"note": "no admissible xi (range too short)", "xi_ceiling": xi_ceiling},
+        )
+    xi = 0.95 * xi_ceiling  # just below the ceiling that eta sets
+    w = sieves.linear_lower(sieves.SieveParams(x, xi))
+    # every lambda_d of w- is +-1, so w- is integral, and w- * r, with r(b) the number of
+    # (y, z) in P^2 with yz = b, is an exact integer convolution over the discrete logs
+    pow_g = character_table(q).pow_g
+    warr = w.residue_array(q)
+    conv = np.zeros(q, dtype=np.int64)
+    conv[pow_g] = _cyclic_counts(
+        warr[pow_g], solution_counts_all(p)[pow_g], int(warr[1:].sum()) * len(p) ** 2
+    )
+    units = conv[1:]
+    witnesses = (np.flatnonzero(units <= 0)[:8] + 1).tolist()
+    return AuditReport(
+        name="almost-prime.convolution-positivity",
+        params={"q": q, "eta": eta.label(), "xi": xi, "delta": sieves.DELTA},
+        computed=float(units.min()),
+        bound=0.0,
+        verdict=RECORDED,
+        witness=witnesses or None,
+        details={"positive_everywhere": not witnesses, "x": x, "xi_ceiling": xi_ceiling},
+    )
+
+
+def theorem2_reports(q: int, eta: Eta) -> list[AuditReport]:
+    """Theorem 2: six-fold prime products by a direct union check, then convolution positivity."""
+    q = modulus_value(q)
+    if min(eta.largest_admitted(q), q - 1) < 4:
+        raise ValueError(
+            f"the sieve range min(eta*q, q - 1) must be at least 4; raise --q or --eta "
+            f"(got --q {q}, --eta {eta.label()})"
+        )
+    p = prime_residues(q, eta)  # min(eta*q, q - 1) >= 4 puts 2 and 3 in P
+    cover_k, union = six_fold_cover(p)
+    missing = union.complement_units()
+    cover = AuditReport(
+        name="almost-prime.six-fold-cover",
+        params={"q": q, "eta": eta.label()},
+        computed=float(cover_k) if cover_k else None,
+        bound=float(COVER_FACTORS),
+        verdict=RECORDED,
+        witness=missing.elements()[:8] or None,
+        details={
+            "covered": union.covers_units,
+            "min_cover_k": cover_k,
+            "missing_count": len(missing),
+            "prime_count": len(p),
+        },
+    )
+    return [cover, _convolution_positivity(p, eta)]
+
+
+def theorem3_reports(q: int, eta: Eta) -> list[AuditReport]:
+    """Theorem 3: the least covering exponent of P_eta against the theoretical 48."""
+    p = prime_residues(q, eta)
+    if not p:
+        raise ValueError("P_eta is empty; nothing to expand")
+    witness = coset_obstruction(p)
+    if witness is not None:
+        fields = dict(
+            witness=(witness.subgroup.index, witness.representative),
+            details={
+                "obstructed": True,
+                "subgroup_index": witness.subgroup.index,
+                "note": "coset obstruction: no power of P_eta ever covers the group",
+            },
+        )
+    else:
+        trace = expansion_schedule(p)
+        k_min = trace.min_exponent
+        details = {
+            "obstructed": False,
+            "prime_count": len(p),
+            "doubling_trace": [
+                {"before": s.size_before, "rule": s.rule, "after": s.size_after, "k": s.exponent}
+                for s in trace.steps
+            ],
+            "theoretical_exponent": trace.theoretical_exponent,
+        }
+        fields = dict(computed=float(k_min), bound=48.0, ratio=k_min / 48.0, details=details)
+    params = {"q": p.q, "eta": eta.label()}
+    return [AuditReport(name="covering.min-exponent", params=params, **fields)]
+
+
+def density_reports(q: int, eta: Eta | float | str = 1) -> list[AuditReport]:
     """|P_eta^(2)| / q against the asymptotic benchmark (2e/(3+4e))^2.
 
     The parameter e inverts eta = q^(-1/4+e), so e = 1/4 + log_q(eta); the
@@ -443,16 +543,14 @@ def density_report(q: int, eta: Eta | float | str = 1) -> AuditReport:
     density = len(p2) / qv
     eps = 0.25 + math.log(e.value_at(qv)) / math.log(qv)  # eta > 0, so the log exists
     benchmark = (2 * eps / (3 + 4 * eps)) ** 2 if eps > 0 else None
-    return AuditReport(
-        name="product-density.pair-products",
-        params={"q": qv, "eta": e.label()},
-        computed=density,
-        bound=benchmark,
-        ratio=density / benchmark if benchmark else None,
-        verdict=RECORDED,
-        details={
-            "prime_count": len(p),
-            "pair_product_count": len(p2),
-            "epsilon": eps,
-        },
-    )
+    return [
+        AuditReport(
+            name="product-density.pair-products",
+            params={"q": qv, "eta": e.label()},
+            computed=density,
+            bound=benchmark,
+            ratio=density / benchmark if benchmark else None,
+            verdict=RECORDED,
+            details={"prime_count": len(p), "pair_product_count": len(p2), "epsilon": eps},
+        )
+    ]

@@ -394,14 +394,17 @@ def peak_mb_above_import(*argv):
     return (kib[1] - kib[0]) / 1024
 
 
-# Peaks above an import-only child: the largest of nine runs (85.8, 28.0 and 109.3 MB), rounded
-# up to 0.5 MB, plus a 2 MB margin for the bimodal glibc heap.  omega-sum: the Omega table's
-# build (its int32 smallest-prime-factor table), nothing per n.  audit all: the solution-count
-# suite's one complex q x q grid at q = 1009 (16 MB).  theorem2: the FFTs of the certificate's
-# cyclic counts at q = 999983, pinned where it stands.
+# Peaks above an import-only child: the largest of nine runs (85.8, 28.0, 109.3 and 90.0 MB),
+# rounded up to 0.5 MB, plus a 2 MB margin for the bimodal glibc heap.  omega-sum: the Omega
+# table's build (its int32 smallest-prime-factor table), nothing per n.  audit all: the
+# solution-count suite's one complex q x q grid at q = 1009 (16 MB).  theorem2: the FFTs of the
+# certificate's cyclic counts at q = 999983.  theorem3: its worst case, P = {2, 3} at q = 999083,
+# whose squarings are sumsets of progressions that fall through to the FFT.  The last two are
+# pinned where they stand.
 OMEGA_SUM_PEAK_MB = 88
 AUDIT_ALL_PEAK_MB = 30
 THEOREM2_PEAK_MB = 111.5
+THEOREM3_PEAK_MB = 92
 
 
 def test_omega_sum_peak_rss_ceiling():
@@ -416,10 +419,15 @@ def test_theorem2_peak_rss_ceiling():
     assert peak_mb_above_import("theorem2", "--q", "999983") <= THEOREM2_PEAK_MB
 
 
+def test_theorem3_peak_rss_ceiling():
+    argv = ("theorem3", "--q", "999083", "--eta", "4/999083")
+    assert peak_mb_above_import(*argv) <= THEOREM3_PEAK_MB
+
+
 # Theorem 2 (i) and (ii): eta = q^(-1/16 + epsilon) and q^(-1/4 + epsilon)
 @pytest.mark.parametrize("eta", ["q^-1/16", "q^-1/4"], ids=["i", "ii"])
 def test_theorem2_short_sieve_range_names_flags(eta, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "prime_residues", lambda *args: pytest.fail("primes sieved"))
+    monkeypatch.setattr(products, "prime_residues", lambda *args: pytest.fail("primes sieved"))
     assert main(["theorem2", "--q", "3", "--eta", eta]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
@@ -461,15 +469,25 @@ def test_negative_seed_refused_before_any_suite(suite, monkeypatch, capsys):
     assert len(err) == 1 and err[0].startswith("error: ") and "--seed" in err[0]
 
 
-def test_scan_reads_the_row_function_when_it_runs(tmp_path, monkeypatch):
-    cli.build_parser()  # built before the row functions are rebound, as under a tracer
+# the function each command calls, per row or once: a tracer rebinds it after the parser exists
+_CALLED_AT_RUN = {
+    "erdos-scan": (cli, "_erdos_row"),
+    "coset-scan": (cli, "_coset_row"),
+    "theorem2": (products, "theorem2_reports"),
+    "theorem3": (products, "theorem3_reports"),
+    "density": (products, "density_reports"),
+}
+
+
+@pytest.mark.parametrize("command", list(_CALLED_AT_RUN))
+def test_scan_reads_the_row_function_when_it_runs(command, tmp_path, monkeypatch):
+    cli.build_parser()  # built before the function is rebound, as under a tracer
     seen = []
-    for name in ("_erdos_row", "_coset_row"):
-        row = getattr(cli, name)
-        monkeypatch.setattr(cli, name, lambda task, row=row: seen.append(task[0]) or row(task))
-    run_cli(tmp_path, "e.csv", "erdos-scan", "--q", "101")
-    run_cli(tmp_path, "c.csv", "coset-scan", "--q", "103")
-    assert seen == [101, 103]
+    owner, name = _CALLED_AT_RUN[command]
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *task: seen.append(task) or real(*task))
+    code, _ = run_cli(tmp_path, "out.csv", command, "--q", "101")
+    assert code == 0 and len(seen) == 1
 
 
 @pytest.mark.parametrize(

@@ -87,3 +87,30 @@ def test_oracles_are_defined():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
     assert set(ORACLES) <= defined
+
+
+# Private names one module may read from another, each with its reason.
+PRIVATE_IMPORTS = {
+    # perfbench's tracer pins cli._rows_to_csv and cli._rows_to_json, which encode with these
+    ("cli", "reports", "_clean"),
+    ("cli", "reports", "_csv_cell"),
+}
+
+
+def test_no_module_reads_another_modules_private_names():
+    reads = set()
+    for name, tree in _trees().items():
+        here = name.removesuffix(".py")
+        siblings = set()  # the package modules bound by `from . import ...`
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is None:
+                    siblings |= {a.asname or a.name for a in node.names}
+                else:
+                    reads |= {(here, node.module, a.name) for a in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in siblings:
+                    reads.add((here, node.value.id, node.attr))
+    private = {r for r in reads if r[2].startswith("_") and not r[2].startswith("__")}
+    assert sorted(private - PRIVATE_IMPORTS) == []

@@ -27,8 +27,8 @@ from primecover.modular import (
     primes_in_range,
     subgroup_of_index,
 )
-from primecover.primes import prime_residues
-from primecover.products import density_report, product_set
+from primecover.primes import Eta, prime_residues
+from primecover.products import density_reports, product_set, theorem2_reports, theorem3_reports
 from primecover.residues import ResidueSet
 
 SMALL_PRIMES = primes_in_range(3, 200)
@@ -344,7 +344,7 @@ _RAW_Q_ENTRIES = {
         inverse_table,
         prime_residues,
         coset_scan_report,
-        density_report,
+        density_reports,
         kloosterman_row,
         weil_audit,
     )
@@ -358,6 +358,8 @@ _RAW_Q_ENTRIES.update(
     mod_inverse=lambda q: mod_inverse(2, q),
     kloosterman=lambda q: kloosterman(1, 1, q),
     additive_transform=lambda q: additive_transform(np.zeros(q), q),
+    theorem2_reports=lambda q: theorem2_reports(q, Eta.parse("1")),
+    theorem3_reports=lambda q: theorem3_reports(q, Eta.parse("1")),
 )
 
 

@@ -15,7 +15,7 @@ from primecover.primes import prime_residues
 from primecover.products import (
     COVER_FACTORS,
     RULE_COMPLETE,
-    density_report,
+    density_reports,
     expansion_schedule,
     freiman_dichotomy,
     iterated_product,
@@ -565,12 +565,12 @@ def test_six_fold_cover_vs_product_set_chain():
 
 
 def test_density_report_q5():
-    rep = density_report(5, 1)
+    [rep] = density_reports(5, 1)
     assert rep.computed == pytest.approx(0.4)  # {1,4} over q = 5
     assert rep.details["pair_product_count"] == 2
     assert rep.bound == pytest.approx(1 / 64)  # epsilon = 1/4 benchmark
 
 
 def test_density_benchmark_formula():
-    rep = density_report(101, "q^-1/8")  # epsilon = 1/4 - 1/8
+    [rep] = density_reports(101, "q^-1/8")  # epsilon = 1/4 - 1/8
     assert rep.bound == pytest.approx((2 * 0.125 / 3.5) ** 2)
