@@ -181,15 +181,6 @@ def _rgamma(z: complex) -> complex:
     return math.prod((z + k) / (k + 1) for k in range(12)) * cmath.exp(-log_ratio)
 
 
-def _omega_histogram(x: int) -> np.ndarray:
-    """c_k = #{1 <= n <= x : Omega(n) = k} for k < 64, counted 2^20 table entries at a time."""
-    om = factor_sieve(x)[1 : x + 1]
-    counts = np.zeros(64, dtype=np.int64)  # Omega(n) <= 23 below the sieve budget
-    for lo in range(0, x, 1 << 20):
-        counts += np.bincount(om[lo : lo + (1 << 20)], minlength=64)
-    return counts
-
-
 def omega_power_sum(z: complex, x: int) -> OmegaSumReport:
     """sum_{n<=x} z^Omega(n) = sum_k c_k z^k vs x * (log x)^(z-1) * C(z)/Gamma(z).
 
@@ -207,7 +198,7 @@ def omega_power_sum(z: complex, x: int) -> OmegaSumReport:
     if x < 100:
         raise ValueError("x must be at least 100")
 
-    counts = _omega_histogram(x)
+    counts = factor_sieve(x)
     ks = np.flatnonzero(counts)
     lhs = complex((counts[ks] * z**ks).sum())
 

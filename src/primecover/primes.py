@@ -4,12 +4,13 @@ Covers the prime sets P_eta = {p prime : p < eta*q} viewed as residues mod q
 and the factor count Omega(n) (with multiplicity).  One cached Eratosthenes
 sieve holds the primes as an array, which `primes_below` slices, and as a bit
 mask, of which P_eta is the low bit slice below min(eta*q, q).  `factor_sieve`
-shares one Omega table per run, filled by doubling over a smallest-prime-factor
-table that is freed once the build returns.
+counts how many n <= x have each Omega(n), block by block off that one sieve's
+primes up to sqrt(x), so no table over [0, x] outlives the call.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 import reprlib
 import threading
@@ -159,44 +160,38 @@ def prime_residues(q: int, eta: Eta | float | Fraction | int | str = 1) -> Resid
     return ResidueSet(qv, _sieve(top)[2] & ((2 << top) - 1))
 
 
-# the int32 spf (4 bytes per n) lives only while the int8 Omega (1 byte per n) is built;
-# at 10^7 omega-sum peaks near 0.21 GB, most of it the complex z^Omega(n) per n
+# Omega is counted _OMEGA_BLOCK n at a time: an int32 cofactor (4 bytes per n) and an int8
+# Omega (1 byte per n) per block, about 5 MB at 2^20, whatever the limit
 FACTOR_SIEVE_MAX = 10**7
-
-_factor_lock = threading.Lock()
-_factor_cache: np.ndarray | None = None  # Omega over [0, limit] for the largest limit so far
+_OMEGA_BLOCK = 1 << 20
 
 
-def _omega_table(limit: int) -> np.ndarray:
-    """Omega(n) for n in [0, limit] as int8, doubling over a smallest-prime-factor table."""
-    spf = np.zeros(limit + 1, dtype=np.int32)
-    for p in range(2, isqrt_floor(limit, 2) + 1):
-        if spf[p] == 0:
-            block = spf[p * p :: p]
-            block[block == 0] = p
-    rest = np.flatnonzero(spf == 0)[2:]  # untouched entries >= 2 are prime
-    spf[rest] = rest
-    # doubling over [lo, 2 lo): m = n // spf(n) <= n/2 is already filled, so Omega(n) = Omega(m) + 1
-    omega = np.zeros(limit + 1, dtype=np.int8)
-    lo = 2
-    while lo <= limit:
-        hi = min(2 * lo, limit + 1)
-        m = np.arange(lo, hi, dtype=np.int32) // spf[lo:hi]  # spf's dtype: int64 would add 4 bytes per n
-        omega[lo:hi] = omega[m] + 1
-        lo = hi
-    return omega
-
-
+@functools.lru_cache(maxsize=4)
 def factor_sieve(limit: int) -> np.ndarray:
-    """The shared int8 table of Omega(n) for n in [0, limit] (at least), grown to the largest
-    limit requested so far.  A miss drops the kept table before it builds, so one is alive."""
-    global _factor_cache
+    """c_k = #{1 <= n <= limit : Omega(n) = k} for k < 64, a read-only int64 histogram.
+
+    Block by block, each multiple of p^k gets 1 and has p divided out of its cofactor, for
+    the primes p <= sqrt(limit); a cofactor still above 1 is one prime > sqrt(limit).
+    """
     if limit < 2:
         raise ValueError("factor_sieve needs limit >= 2")
     if limit > FACTOR_SIEVE_MAX:
         raise ValueError(f"factor sieve budget is x <= 10^7, got x = {limit}")
-    with _factor_lock:
-        if _factor_cache is None or len(_factor_cache) <= limit:
-            _factor_cache = None
-            _factor_cache = _omega_table(limit)
-        return _factor_cache
+    root = isqrt_floor(limit, 2)
+    small = primes_below(root).tolist() if root >= 2 else []
+    counts = np.zeros(64, dtype=np.int64)  # Omega(n) <= 23 below the sieve budget
+    for lo in range(1, limit + 1, _OMEGA_BLOCK):
+        hi = min(lo + _OMEGA_BLOCK, limit + 1)
+        rest = np.arange(lo, hi, dtype=np.int32)
+        omega = np.zeros(hi - lo, dtype=np.int8)
+        for p in small:
+            pk = p
+            while pk < hi:
+                omega[-lo % pk :: pk] += 1
+                rest[-lo % pk :: pk] //= p
+                pk *= p
+        omega += rest > 1
+        for k in range(int(omega.max()) + 1):  # np.bincount would cast the block to intp
+            counts[k] += np.count_nonzero(omega == k)
+    counts.flags.writeable = False
+    return counts

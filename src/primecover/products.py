@@ -529,24 +529,23 @@ def theorem3_reports(q: int, eta: Eta) -> list[AuditReport]:
     return [AuditReport(name="covering.min-exponent", params=params, **fields)]
 
 
-def density_reports(q: int, eta: Eta | float | str = 1) -> list[AuditReport]:
+def density_reports(q: int, eta: Eta) -> list[AuditReport]:
     """|P_eta^(2)| / q against the asymptotic benchmark (2e/(3+4e))^2.
 
     The parameter e inverts eta = q^(-1/4+e), so e = 1/4 + log_q(eta); the
     benchmark is an asymptotic constant, so the verdict is recorded rather
     than asserted.
     """
-    e = Eta.coerce(eta)
-    p = prime_residues(q, e)
+    p = prime_residues(q, eta)
     qv = p.q
     p2 = product_set(p, p)
     density = len(p2) / qv
-    eps = 0.25 + math.log(e.value_at(qv)) / math.log(qv)  # eta > 0, so the log exists
+    eps = 0.25 + math.log(eta.value_at(qv)) / math.log(qv)  # eta > 0, so the log exists
     benchmark = (2 * eps / (3 + 4 * eps)) ** 2 if eps > 0 else None
     return [
         AuditReport(
             name="product-density.pair-products",
-            params={"q": qv, "eta": e.label()},
+            params={"q": qv, "eta": eta.label()},
             computed=density,
             bound=benchmark,
             ratio=density / benchmark if benchmark else None,

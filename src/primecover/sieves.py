@@ -93,10 +93,7 @@ def sifting_primes(z: float) -> list[int]:
     """The primes p < z (strict), ascending."""
     if z <= 2:
         return []
-    top = math.ceil(z) - 1  # p < z; exact when z is integral
-    if top < 2:
-        return []
-    return primes_below(top).tolist()
+    return primes_below(math.ceil(z) - 1).tolist()  # p < z; exact when z is integral
 
 
 def rough_mask(x: int, z: float) -> np.ndarray:

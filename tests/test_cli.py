@@ -359,10 +359,10 @@ def test_omega_sum_checks_every_x_before_any_sieve(xs, monkeypatch, capsys):
     assert len(err) == 1 and err[0].startswith("error: --x ")
 
 
-def test_omega_sum_at_sieve_budget(tmp_path, monkeypatch):
+def test_omega_sum_at_sieve_budget(tmp_path):
     from primecover import primes
 
-    monkeypatch.setattr(primes, "_factor_cache", None)  # the 10^7 sieve leaves with the test
+    primes.factor_sieve.cache_clear()  # count at 10^7 afresh, not from the memo
     code, text = run_cli(tmp_path, "o.csv", "omega-sum", "--x", "10000000", "--z", "0")
     assert code == 0
     assert text.splitlines()[1].split(",")[:3] == ["10000000", "e(0)", "10000000"]
@@ -394,14 +394,14 @@ def peak_mb_above_import(*argv):
     return (kib[1] - kib[0]) / 1024
 
 
-# Peaks above an import-only child: the largest of nine runs (85.8, 28.0, 109.3 and 90.0 MB),
-# rounded up to 0.5 MB, plus a 2 MB margin for the bimodal glibc heap.  omega-sum: the Omega
-# table's build (its int32 smallest-prime-factor table), nothing per n.  audit all: the
+# Peaks above an import-only child: the largest of nine runs (10.8, 28.0, 109.3 and 90.0 MB),
+# rounded up to 0.5 MB, plus a 2 MB margin for the bimodal glibc heap.  omega-sum: one 2^20-n
+# block of the Omega count (its int32 cofactor and int8 Omega), nothing per n.  audit all: the
 # solution-count suite's one complex q x q grid at q = 1009 (16 MB).  theorem2: the FFTs of the
 # certificate's cyclic counts at q = 999983.  theorem3: its worst case, P = {2, 3} at q = 999083,
 # whose squarings are sumsets of progressions that fall through to the FFT.  The last two are
 # pinned where they stand.
-OMEGA_SUM_PEAK_MB = 88
+OMEGA_SUM_PEAK_MB = 13
 AUDIT_ALL_PEAK_MB = 30
 THEOREM2_PEAK_MB = 111.5
 THEOREM3_PEAK_MB = 92

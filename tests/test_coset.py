@@ -23,6 +23,7 @@ from primecover.coset import (
 from primecover.modular import CharacterTable, character_table, divisors, primes_in_range
 from primecover.primes import factor_sieve, prime_residues
 from primecover.residues import ResidueSet, leading_positions
+from test_primes import omega_table
 
 
 def test_obstruction_worked_example_q5():
@@ -233,7 +234,7 @@ def test_omega_sum_lhs_against_direct_loop():
 
 @pytest.mark.parametrize("x", [100, 1000, 4097, 10**4])
 def test_omega_histogram_counts_trial_division(x):
-    counts = coset._omega_histogram(x)
+    counts = factor_sieve(x)
     assert counts.sum() == x
     oracle = np.bincount([_omega_by_trial_division(n) for n in range(1, x + 1)], minlength=64)
     assert np.array_equal(counts, oracle)
@@ -241,7 +242,7 @@ def test_omega_histogram_counts_trial_division(x):
 
 def _gather_omega_power_sum(z, x):
     """omega_power_sum as it summed z^Omega(n) over every n, one gathered power per n (oracle)."""
-    om = factor_sieve(x)[1 : x + 1]
+    om = omega_table(x)[1:]
     lhs = complex((z ** np.arange(int(om.max()) + 1))[om].sum())
     logx = math.log(x)
     main = x * cmath.exp((z - 1) * cmath.log(logx)) * (euler_product_constant(z) * _rgamma(z))

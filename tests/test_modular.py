@@ -344,7 +344,6 @@ _RAW_Q_ENTRIES = {
         inverse_table,
         prime_residues,
         coset_scan_report,
-        density_reports,
         kloosterman_row,
         weil_audit,
     )
@@ -358,6 +357,7 @@ _RAW_Q_ENTRIES.update(
     mod_inverse=lambda q: mod_inverse(2, q),
     kloosterman=lambda q: kloosterman(1, 1, q),
     additive_transform=lambda q: additive_transform(np.zeros(q), q),
+    density_reports=lambda q: density_reports(q, Eta.parse("1")),
     theorem2_reports=lambda q: theorem2_reports(q, Eta.parse("1")),
     theorem3_reports=lambda q: theorem3_reports(q, Eta.parse("1")),
 )

@@ -1,4 +1,5 @@
 import bisect
+import math
 import random
 from fractions import Fraction
 
@@ -193,14 +194,40 @@ def test_eta_power_large_denominator():
     assert m < 10007 ** (99 / 100) < m + 1
 
 
+def omega_table(limit):
+    """Omega(n) for n in [0, limit] as int8, doubling over a smallest-prime-factor table (oracle)."""
+    spf = np.zeros(limit + 1, dtype=np.int32)
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == 0:
+            block = spf[p * p :: p]
+            block[block == 0] = p
+    rest = np.flatnonzero(spf == 0)[2:]  # untouched entries >= 2 are prime
+    spf[rest] = rest
+    # doubling over [lo, 2 lo): m = n // spf(n) <= n/2 is already filled, so Omega(n) = Omega(m) + 1
+    omega = np.zeros(limit + 1, dtype=np.int8)
+    lo = 2
+    while lo <= limit:
+        hi = min(2 * lo, limit + 1)
+        m = np.arange(lo, hi, dtype=np.int32) // spf[lo:hi]
+        omega[lo:hi] = omega[m] + 1
+        lo = hi
+    return omega
+
+
+def _omega_by_trial_division(n):
+    return sum(factorize(n).values())
+
+
 def test_big_omega_nu_examples():
-    # Omega from the table, nu from trial division: the two sources the sieve audit reads
-    omega = factor_sieve(2**10)
-    assert omega.dtype == np.int8 and len(omega) >= 2**10 + 1
+    # Omega from the oracle table and the histogram, nu from trial division
+    omega = omega_table(2**10)
+    assert omega.dtype == np.int8 and len(omega) == 2**10 + 1
     assert omega[12] == 3 and len(factorize(12)) == 2  # 12 = 2^2 * 3
     assert omega[1] == 0 and len(factorize(1)) == 0
     assert omega[2**10] == 10 and len(factorize(2**10)) == 1
     assert omega[2 * 3 * 5 * 7] == 4 == len(factorize(210))
+    # 1 | 2, 3, 5, 7, 11 | 4, 6, 9, 10 | 8, 12
+    assert factor_sieve(12).tolist()[:5] == [1, 5, 4, 2, 0]
 
 
 def test_factor_sieve_range_check():
@@ -210,35 +237,34 @@ def test_factor_sieve_range_check():
         factor_sieve(primes.FACTOR_SIEVE_MAX + 1)
 
 
-def test_factor_sieve_keeps_one_table_grown_to_the_largest_limit(monkeypatch):
-    monkeypatch.setattr(primes, "_factor_cache", None)
+def test_factor_sieve_is_a_read_only_histogram_memoised_per_limit():
+    factor_sieve.cache_clear()
     small = factor_sieve(100)
-    assert len(small) == 101
-    big = factor_sieve(1000)
-    assert len(big) == 1001 and primes._factor_cache is big
-    assert factor_sieve(500) is big  # a smaller limit reads the larger table
-    assert big[:101].tobytes() == small.tobytes()
+    assert small.dtype == np.int64 and small.shape == (64,) and small.sum() == 100
+    assert not small.flags.writeable
+    with pytest.raises(ValueError):
+        small[0] = 0
+    assert factor_sieve(1000) is not small and factor_sieve(100) is small
+    assert factor_sieve.cache_info().maxsize == 4
 
 
 @pytest.mark.parametrize("limit", [999999, 2**19])
-def test_omega_doubling_vs_factorize(limit, monkeypatch):
+def test_omega_doubling_vs_factorize(limit):
     # trial division is independent of the spf table the doubling reads; the
     # chunk edges 2^k - 1, 2^k, 2^k + 1 are where a chunk hands over to the next
-    monkeypatch.setattr(primes, "_factor_cache", None)
-    omega = factor_sieve(limit)
+    omega = omega_table(limit)
     assert len(omega) == limit + 1
     edges = [2**k + d for k in range(1, 20) for d in (-1, 0, 1)]
     spots = [1, 999983, 510510, 3**12]
     for n in sorted({*range(1, 2 * 10**4 + 1), *edges, *spots}):
         if n > limit:
             continue
-        assert omega[n] == sum(factorize(n).values()), n
+        assert omega[n] == _omega_by_trial_division(n), n
 
 
-def test_omega_doubling_int32_matches_int64(monkeypatch):
+def test_omega_doubling_int32_matches_int64():
     # the doubling's quotient n // spf(n) kept in spf's int32, against the same doubling in int64
     limit = 3 * 2**17 + 5
-    monkeypatch.setattr(primes, "_factor_cache", None)
     spf = np.zeros(limit + 1, dtype=np.int64)
     for p in primes_below(limit).tolist():
         block = spf[p::p]
@@ -250,11 +276,34 @@ def test_omega_doubling_int32_matches_int64(monkeypatch):
         m = np.arange(lo, hi, dtype=np.int64) // spf[lo:hi]
         omega[lo:hi] = omega[m] + 1
         lo = hi
-    assert factor_sieve(limit).tobytes() == omega.tobytes()
+    assert omega_table(limit).tobytes() == omega.tobytes()
+
+
+@pytest.mark.parametrize("limit", [2**19, 999999, 2**20 + 5])
+def test_factor_sieve_matches_oracle_bincount(limit):
+    # 2^20 + 5 spans two blocks of the segmented count
+    oracle = np.bincount(omega_table(limit)[1:], minlength=64)
+    assert factor_sieve(limit).tolist() == oracle.tolist()
+
+
+@pytest.mark.parametrize("d", [-1, 0, 1])
+@pytest.mark.parametrize("block", [16, 64, 210])
+def test_factor_sieve_block_edges_vs_trial_division(block, d, monkeypatch):
+    # a small block puts every p^k and cofactor prime near a block edge
+    limit = 3 * block + d
+    factor_sieve.cache_clear()
+    monkeypatch.setattr(primes, "_OMEGA_BLOCK", block)
+    try:
+        counts = factor_sieve(limit)
+    finally:
+        factor_sieve.cache_clear()
+    oracle = np.bincount([_omega_by_trial_division(n) for n in range(1, limit + 1)], minlength=64)
+    assert counts.tolist() == oracle.tolist()
 
 
 def test_factor_sieve_budget_checked_before_allocation(monkeypatch):
     monkeypatch.setattr(np, "zeros", lambda *a, **k: pytest.fail("allocated"))
+    monkeypatch.setattr(np, "arange", lambda *a, **k: pytest.fail("allocated"))
     with pytest.raises(ValueError, match=r"x = 10000001"):
         factor_sieve(primes.FACTOR_SIEVE_MAX + 1)
 
@@ -262,7 +311,7 @@ def test_factor_sieve_budget_checked_before_allocation(monkeypatch):
 def test_omega_sum_prime_power_oracle():
     # sum_{n<=x} Omega(n) counts pairs (n, p^k) with k >= 1 and p^k | n
     x = 10**4
-    lhs = int(factor_sieve(x)[1 : x + 1].sum(dtype=np.int64))
+    lhs = int(factor_sieve(x) @ np.arange(64))
     rhs = 0
     for p in primes_below(x).tolist():
         pk = p

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from primecover import products
 from primecover.coset import coset_obstruction_brute, is_coset_trapped
 from primecover.modular import character_table, mod_inverse, primes_in_range
-from primecover.primes import prime_residues
+from primecover.primes import Eta, prime_residues
 from primecover.products import (
     COVER_FACTORS,
     RULE_COMPLETE,
@@ -565,12 +565,12 @@ def test_six_fold_cover_vs_product_set_chain():
 
 
 def test_density_report_q5():
-    [rep] = density_reports(5, 1)
+    [rep] = density_reports(5, Eta.parse("1"))
     assert rep.computed == pytest.approx(0.4)  # {1,4} over q = 5
     assert rep.details["pair_product_count"] == 2
     assert rep.bound == pytest.approx(1 / 64)  # epsilon = 1/4 benchmark
 
 
 def test_density_benchmark_formula():
-    [rep] = density_reports(101, "q^-1/8")  # epsilon = 1/4 - 1/8
+    [rep] = density_reports(101, Eta.parse("q^-1/8"))  # epsilon = 1/4 - 1/8
     assert rep.bound == pytest.approx((2 * 0.125 / 3.5) ** 2)
